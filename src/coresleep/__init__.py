@@ -26,11 +26,9 @@ from .workload import (
     TaskSet,
     WorkloadError,
     draw_actual_ratio,
-    dynamic_utilization,
     generate_task_set,
     next_release,
     read_task_set_csv,
-    static_utilization,
     task_from_ms,
     write_task_set_csv,
 )

@@ -61,7 +61,6 @@ def _add_common(parser):
     parser.add_argument("--duration", type=float, default=10_000.0, metavar="MS")
     parser.add_argument("--seed", type=int, default=1, metavar="S")
     parser.add_argument("--realloc-bonus", choices=("scaled", "literal"), default="scaled")
-    parser.add_argument("--realloc-s-rule", choices=("prose", "pseudocode"), default="prose")
 
 
 def build_parser():
@@ -95,7 +94,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         params = load_power_params(args.constants) if args.constants else default_power_params()
-        realloc = ReallocOptions(bonus=args.realloc_bonus, s_rule=args.realloc_s_rule)
+        realloc = ReallocOptions(bonus=args.realloc_bonus)
         if args.command == "simulate":
             task_set, assignment, ledger, trace = run_single(
                 params,
@@ -138,6 +137,10 @@ def main(argv=None) -> int:
                 realloc=realloc,
             )
             result = run_sweep(spec, params=params, workers=args.workers)
+            for value, skipped in result.skipped.items():
+                if skipped == spec.repetitions:
+                    print(f"warning: {axis}={value!r}: all {skipped} repetitions skipped "
+                          f"(no feasible partition); its rows are NaN", file=sys.stderr)
             emit(result, args.out)
             print(f"wrote {args.out}")
     except (PowerModelError, WorkloadError, PartitionError, ValueError, OSError) as exc:

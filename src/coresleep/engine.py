@@ -19,7 +19,7 @@ from . import policies
 from .partition import Assignment
 from .policies import PolicyKind, ReallocOptions
 from .power import DerivedSpeeds, PowerParams, PowerTable, derive_speeds, sleep_threshold
-from .workload import NS_PER_MS, Job, TaskSet, draw_actual_ratio, next_release
+from .workload import NS_PER_MS, Job, TaskSet, draw_actual_ratio
 
 EV_RELEASE, EV_COMPLETE, EV_WAKE = 0, 1, 2
 ACTIVE, SLEEPING = 0, 1
@@ -52,8 +52,7 @@ class TaskRun:
 class Core:
     __slots__ = (
         "index", "members", "ready", "state", "running",
-        "sched_job", "sched_speed", "sched_version",
-        "sleep_until", "wake_version", "idle_evaluated",
+        "sched_speed", "sched_version", "wake_version", "idle_evaluated",
     )
 
     def __init__(self, index):
@@ -62,10 +61,8 @@ class Core:
         self.ready = []            # released unfinished jobs (running included)
         self.state = ACTIVE
         self.running = None
-        self.sched_job = None
         self.sched_speed = -1.0
         self.sched_version = 0
-        self.sleep_until = None
         self.wake_version = 0
         self.idle_evaluated = False
 
@@ -187,11 +184,6 @@ class Simulator:
 
     # -- model helpers -----------------------------------------------------
 
-    def _earliest_release_ns(self, core, t_ns):
-        if not core.members:
-            return None
-        return min(next_release(run.task, t_ns) for run in core.members)
-
     def _power(self, speed):
         cached_s, cached_p = self._power_cache
         if speed == cached_s:
@@ -252,7 +244,6 @@ class Simulator:
         job.remaining_ns = 0.0
         core.ready.remove(job)
         core.running = None
-        core.sched_job = None
         core.sched_version += 1
         run = self.runs[job.task_id]
         run.last_completed_arrival = job.arrival_ns
@@ -267,7 +258,6 @@ class Simulator:
             return
         if core.ready:
             core.state = ACTIVE
-            core.sleep_until = None
             core.idle_evaluated = False
             self.ledger.wake_count += 1
             # kept as the exact product, not a running float sum
@@ -276,8 +266,7 @@ class Simulator:
         else:
             # The job this wake was scheduled for moved to another core;
             # stay asleep until the queue's next release, at no cost.
-            nxt = self._earliest_release_ns(core, t_ns)
-            core.sleep_until = nxt
+            nxt = policies.core_next_release_ns(core, t_ns)
             core.wake_version += 1
             if nxt is not None and nxt < self.duration_ns:
                 self._push(nxt, EV_WAKE, core.index, core.wake_version)
@@ -285,10 +274,8 @@ class Simulator:
     def _sleep(self, core: Core, t_ns, wake_at_ns):
         core.state = SLEEPING
         core.running = None
-        core.sched_job = None
         core.sched_version += 1
         core.idle_evaluated = False
-        core.sleep_until = wake_at_ns
         core.wake_version += 1
         # A sleeping core must not receive reallocated tasks.
         self.realloc_candidates.discard(core.index)
@@ -300,7 +287,7 @@ class Simulator:
         """Sleep decision for a core with no ready work: sleep through the
         gap to its next release when the gap reaches the threshold, else stay
         active-idle at the global speed and record the failed sleep."""
-        nxt = self._earliest_release_ns(core, t_ns)
+        nxt = policies.core_next_release_ns(core, t_ns)
         if nxt is None or nxt - t_ns >= self.t_th_ns:
             self._sleep(core, t_ns, nxt)
         else:
@@ -314,19 +301,17 @@ class Simulator:
         if job is None:
             if core.running is not None:
                 core.running = None
-                core.sched_job = None
                 core.sched_version += 1
             if not core.idle_evaluated:
                 self.on_core_idle(core, t_ns)
             return
-        if job is core.sched_job and self.speed == core.sched_speed:
+        if job is core.running and self.speed == core.sched_speed:
             return
         if core.running is not None and core.running is not job:
             self._trace(t_ns, core.index, "preempt", core.running.task_id)
         if core.running is not job:
             self._trace(t_ns, core.index, "start", job.task_id)
         core.running = job
-        core.sched_job = job
         core.sched_speed = self.speed
         core.sched_version += 1
         core.idle_evaluated = False
@@ -351,7 +336,6 @@ class Simulator:
         src.ready.remove(moved)
         if src.running is moved:
             src.running = None
-            src.sched_job = None
             src.sched_version += 1
         src.members.remove(run)
         src.idle_evaluated = False

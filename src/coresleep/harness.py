@@ -65,20 +65,23 @@ class SweepSpec:
             raise SweepError("axis values must be nonempty and strictly increasing")
         object.__setattr__(self, "values", vals)
         for value in vals:
-            self._check_axis_value(value)
+            self._check_axis_value(self.axis, value)
+        for axis, value in zip(AXES, (self.u, self.e_sw_j, self.m, self.cc_ratio)):
+            self._check_axis_value(axis, value)
         if self.repetitions < 1:
             raise SweepError("need at least one repetition")
         if not (1 <= self.n_range[0] <= self.n_range[1]):
             raise SweepError("bad task-count range")
 
-    def _check_axis_value(self, value):
-        if self.axis == "U" and not (0.0 < value <= 1.0):
+    @staticmethod
+    def _check_axis_value(axis, value):
+        if axis == "U" and not (0.0 < value <= 1.0):
             raise SweepError(f"U value {value} outside (0, 1]")
-        if self.axis == "E_sw" and value < 0:
+        if axis == "E_sw" and value < 0:
             raise SweepError(f"E_sw value {value} negative")
-        if self.axis == "m" and (int(value) != value or value < 1):
+        if axis == "m" and (int(value) != value or value < 1):
             raise SweepError(f"core count {value} not a positive integer")
-        if self.axis == "cc_ratio" and not (0.0 < value <= 1.0):
+        if axis == "cc_ratio" and not (0.0 < value <= 1.0):
             raise SweepError(f"cc ratio {value} outside (0, 1]")
 
     def fixed_for(self, value):
@@ -264,7 +267,7 @@ def emit(result: SweepResult, path) -> None:
     lines.append(f"# duration_ms = {spec.duration_ms!r}")
     lines.append(f"# repetitions = {spec.repetitions}")
     lines.append(f"# base_seed = {spec.base_seed}")
-    lines.append(f"# realloc = bonus:{spec.realloc.bonus} s_rule:{spec.realloc.s_rule}")
+    lines.append(f"# realloc = bonus:{spec.realloc.bonus}")
     skipped_total = sum(result.skipped.values())
     lines.append(f"# skipped_repetitions = {skipped_total}")
     lines.append("axis,value,policy,energy_j,normalized,misses,wakes,failed_sleeps,runs")

@@ -32,24 +32,18 @@ class PolicyKind(Enum):
 
 @dataclass(frozen=True)
 class ReallocOptions:
-    """Switches for the two ambiguous readings of the reallocation rule.
+    """Switch for the ambiguous reading of the reallocation rule.
 
     bonus: how the freed execution time of the shifted task enters the
       idle-interval test.  'scaled' converts the worst case to execution
       time at the critical speed (default); 'literal' adds it unscaled.
-    s_rule: how the candidate set S is updated after a shift attempt.
-      'prose' adds the home core on a failed shift and removes it on a
-      successful one (default); 'pseudocode' does the opposite.
     """
 
     bonus: str = "scaled"
-    s_rule: str = "prose"
 
     def __post_init__(self):
         if self.bonus not in ("scaled", "literal"):
             raise ValueError(f"bad bonus mode {self.bonus!r}")
-        if self.s_rule not in ("prose", "pseudocode"):
-            raise ValueError(f"bad S-update rule {self.s_rule!r}")
 
 
 def current_arrival(period_ns: int, t_ns: int) -> int:
@@ -83,17 +77,23 @@ def compute_load_ns(core, t_ns: int) -> float:
     time at maximum speed."""
     total = 0.0
     for run in core.members:
-        period = run.task.period_ns
-        if run.last_completed_arrival != (t_ns // period) * period:
+        if run.last_completed_arrival != current_arrival(run.task.period_ns, t_ns):
             total += run.task.wcet_ns
     return total
+
+
+def core_next_release_ns(core, t_ns: int) -> int | None:
+    """First release on a core strictly after t, or None for an empty core."""
+    if not core.members:
+        return None
+    return min(next_release(run.task, t_ns) for run in core.members)
 
 
 def compute_dt_ns(core, t_ns: int, critical_scale: float) -> float:
     """Minimum idle interval ahead of a core if nothing is shifted: time to
     the next release on the core minus the time to drain its pending work at
     the critical speed.  May be negative when the backlog exceeds the gap."""
-    gap = min(next_release(run.task, t_ns) for run in core.members) - t_ns
+    gap = core_next_release_ns(core, t_ns) - t_ns
     return gap - compute_load_ns(core, t_ns) / critical_scale
 
 
@@ -126,9 +126,8 @@ def upon_task_release(run, t_ns: int, sim):
     """Reallocation hook, invoked after the newly released job is enqueued.
 
     Returns the destination core when the task was shifted, else None.
-    Updates the candidate set per the configured rule either way.
+    The home core leaves the candidate set on a shift and joins it otherwise.
     """
-    opts = sim.realloc_opts
     home = sim.cores[run.core]
     task = run.task
     dest = None
@@ -139,23 +138,17 @@ def upon_task_release(run, t_ns: int, sim):
     )
     if not backlog:
         dt = compute_dt_ns(home, t_ns, sim.critical_scale)
-        if opts.bonus == "scaled":
+        if sim.realloc_opts.bonus == "scaled":
             bonus = task.wcet_ns / sim.critical_scale
         else:
             bonus = task.wcet_ns
         if dt + bonus >= sim.t_th_ns:
             dest = select_core(run, t_ns, sim.realloc_candidates, sim.cores, sim.critical_scale)
     if dest is not None:
-        if opts.s_rule == "prose":
-            sim.realloc_candidates.discard(home.index)
-        else:
-            sim.realloc_candidates.add(home.index)
+        sim.realloc_candidates.discard(home.index)
         sim.commit_reallocation(run, dest, t_ns)
     else:
-        if opts.s_rule == "prose":
-            sim.realloc_candidates.add(home.index)
-        else:
-            sim.realloc_candidates.discard(home.index)
+        sim.realloc_candidates.add(home.index)
     return dest
 
 

@@ -92,20 +92,6 @@ class TaskSet:
         return iter(self.tasks)
 
 
-def static_utilization(task: Task) -> float:
-    """wcet / period."""
-    return task.wcet_ns / task.period_ns
-
-
-def dynamic_utilization(task: Task, finished: bool, cc_ns: float | None = None) -> float:
-    """Utilization of the nearest invocation: wcet/period while it is pending,
-    actual-time/period once it completed."""
-    if not finished:
-        return task.wcet_ns / task.period_ns
-    if cc_ns is None:
-        raise WorkloadError("finished invocation needs its actual execution time")
-    return cc_ns / task.period_ns
-
 def next_release(task: Task, t_ns: int) -> int:
     """First release of ``task`` strictly after ``t_ns``."""
     return (t_ns // task.period_ns) * task.period_ns + task.period_ns

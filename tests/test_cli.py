@@ -96,6 +96,34 @@ def test_bad_axis_fails(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["--sweep", "U=0.1:0.2:0.1", "--cores", "0"],
+    ["--sweep", "m=2:4:2", "--util", "0"],
+])
+def test_bad_fixed_parameter_fails(tmp_path, capsys, args):
+    out = tmp_path / "x.csv"
+    code = main(["sweep", *args, "--runs", "1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error:" in err
+    assert not out.exists()
+
+
+def test_sweep_warns_on_fully_skipped_value(tmp_path, capsys):
+    # U = 1.0 on two cores: no drawn task set admits a partition
+    out = tmp_path / "u.csv"
+    code = main([
+        "sweep", "--sweep", "U=0.9:1.0:0.1", "--runs", "1", "--duration", "100",
+        "--out", str(out),
+    ])
+    err = capsys.readouterr().err
+    assert code == 0
+    assert err.splitlines() == [
+        "warning: U=1.0: all 1 repetitions skipped (no feasible partition); its rows are NaN"
+    ]
+    assert "# skipped_repetitions = 1" in out.read_text()
+
+
 def test_bad_grid_syntax_exits_nonzero(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--sweep", "U=0.1", "--out", str(tmp_path / "x.csv")])

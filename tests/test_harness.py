@@ -53,6 +53,14 @@ class TestSpecValidation:
         with pytest.raises(SweepError):
             tiny_spec(axis="cc_ratio", values=(0.0, 0.5))
 
+    @pytest.mark.parametrize("fixed", [
+        dict(m=0), dict(u=0.0), dict(u=1.5), dict(e_sw_j=-1e-3), dict(cc_ratio=0.0),
+        dict(axis="m", values=(2, 4), u=0.0),
+    ])
+    def test_fixed_parameter_ranges(self, fixed):
+        with pytest.raises(SweepError):
+            tiny_spec(**fixed)
+
     def test_fixed_for_applies_axis(self):
         spec = tiny_spec(axis="E_sw", values=(1e-4, 2e-4))
         u, e_sw, m, cc = spec.fixed_for(2e-4)

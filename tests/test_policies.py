@@ -9,6 +9,7 @@ from coresleep.policies import (
     compute_dt_ns,
     compute_load_ns,
     core_dynamic_utilization,
+    core_next_release_ns,
     policy_speed,
     select_core,
 )
@@ -71,6 +72,20 @@ class TestComputeDt:
         # the earliest next release on the core (task 3 at 2 ms)
         assert compute_load_ns(sim.cores[1], 2 * MS - 1) == 0.0
         assert compute_dt_ns(sim.cores[1], 2 * MS - 1, sim.critical_scale) == 1.0
+
+
+class TestCoreNextRelease:
+    def test_empty_core(self, sim):
+        sim.cores[1].members.clear()
+        assert core_next_release_ns(sim.cores[1], 0) is None
+
+    def test_minimum_over_members(self, sim):
+        # core 1 holds task 2 (next release 4 ms) and task 3 (2 ms)
+        assert core_next_release_ns(sim.cores[1], MS) == 2 * MS
+
+    def test_release_instant_gives_next_period(self, sim):
+        assert core_next_release_ns(sim.cores[0], 2 * MS) == 4 * MS
+        assert core_next_release_ns(sim.cores[1], 4 * MS) == 6 * MS
 
 
 class TestSelectCore:
@@ -151,17 +166,6 @@ class TestCandidateSetEvolution:
                        motivational_tasks, motivational_assignment)
         assert led_a.total_j == led_b.total_j
 
-    def test_pseudocode_rule_never_populates_the_set(self, params, motivational_tasks,
-                                                     motivational_assignment):
-        # under that reading a core joins the set only after a successful
-        # shift, which itself needs a candidate: nothing ever moves
-        opts = ReallocOptions(s_rule="pseudocode")
-        cfg = motivational_config(params, PolicyKind.LA_REALLOC, realloc=opts)
-        sim = Simulator(cfg, motivational_tasks, motivational_assignment)
-        ledger, _ = sim.run()
-        assert ledger.realloc_count == 0
-        assert sim.realloc_candidates == set()
-
 
 class TestCommitInvariants:
     @pytest.mark.parametrize("seed", range(10))
@@ -187,10 +191,6 @@ class TestOptionsValidation:
     def test_bad_bonus(self):
         with pytest.raises(ValueError):
             ReallocOptions(bonus="wrong")
-
-    def test_bad_s_rule(self):
-        with pytest.raises(ValueError):
-            ReallocOptions(s_rule="wrong")
 
 
 def test_dynamic_utilization_tracks_completion(sim):

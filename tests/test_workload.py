@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from coresleep.engine import TaskRun
+from coresleep.policies import task_dynamic_utilization
 from coresleep.workload import (
     NS_PER_MS,
     Job,
@@ -9,21 +11,27 @@ from coresleep.workload import (
     TaskSet,
     WorkloadError,
     draw_actual_ratio,
-    dynamic_utilization,
     generate_task_set,
     next_release,
     read_task_set_csv,
-    static_utilization,
     task_from_ms,
     write_task_set_csv,
 )
 
 
+def finished_run(task, cc_ns):
+    """Task state with its first invocation completed at ``cc_ns``."""
+    run = TaskRun(task, 0, seed=0)
+    run.last_completed_arrival = 0
+    run.last_cc_ns = cc_ns
+    return run
+
+
 class TestTask:
     def test_static_utilization_examples(self):
-        assert static_utilization(task_from_ms(1, 2.0, 0.6)) == 0.3
-        assert static_utilization(task_from_ms(2, 4.0, 0.4)) == 0.1
-        assert static_utilization(task_from_ms(3, 1.0, 1.0)) == 1.0
+        assert task_from_ms(1, 2.0, 0.6).utilization == 0.3
+        assert task_from_ms(2, 4.0, 0.4).utilization == 0.1
+        assert task_from_ms(3, 1.0, 1.0).utilization == 1.0
 
     def test_validation(self):
         with pytest.raises(WorkloadError):
@@ -41,19 +49,15 @@ class TestTask:
 class TestDynamicUtilization:
     def test_unfinished_uses_worst_case(self):
         task = task_from_ms(0, 2.0, 0.6)
-        assert dynamic_utilization(task, finished=False) == 0.3
+        assert task_dynamic_utilization(TaskRun(task, 0, seed=0), 0) == 0.3
 
     def test_finished_uses_actual(self):
         task = task_from_ms(0, 4.0, 0.4)
-        assert dynamic_utilization(task, finished=True, cc_ns=0.2 * NS_PER_MS) == 0.05
+        assert task_dynamic_utilization(finished_run(task, 0.2 * NS_PER_MS), 0) == 0.05
 
     def test_finished_at_worst_case_equals_static(self):
         task = task_from_ms(0, 4.0, 0.4)
-        assert dynamic_utilization(task, True, task.wcet_ns) == static_utilization(task)
-
-    def test_finished_requires_actual_time(self):
-        with pytest.raises(WorkloadError):
-            dynamic_utilization(task_from_ms(0, 4.0, 0.4), finished=True)
+        assert task_dynamic_utilization(finished_run(task, task.wcet_ns), 0) == task.utilization
 
 
 class TestNextRelease:
@@ -119,7 +123,7 @@ class TestGenerator:
         task = task_from_ms(0, 10.0, 3.0)
         for _ in range(1000):
             cc = draw_actual_ratio(0.5, rng) * task.wcet_ns
-            assert dynamic_utilization(task, True, cc) <= static_utilization(task)
+            assert task_dynamic_utilization(finished_run(task, cc), 0) <= task.utilization
 
 
 class TestActualRatio:
