@@ -51,7 +51,7 @@ class TaskRun:
 
 class Core:
     __slots__ = (
-        "index", "members", "ready", "state", "running",
+        "index", "members", "ready", "state", "running", "dyn_util",
         "sched_speed", "sched_version", "wake_version", "idle_evaluated",
     )
 
@@ -61,6 +61,7 @@ class Core:
         self.ready = []            # released unfinished jobs (running included)
         self.state = ACTIVE
         self.running = None
+        self.dyn_util = 0.0        # cached policies.core_dynamic_utilization
         self.sched_speed = -1.0
         self.sched_version = 0
         self.wake_version = 0
@@ -171,6 +172,10 @@ class Simulator:
         self._heap: list = []
         self._seq = 0
         self._power_cache = (-1.0, 0.0)
+        # Core indices whose cached dynamic utilization must be re-summed,
+        # and those an event of the current batch changed (to dispatch).
+        self._stale = set(range(config.cores))
+        self._touched = set()
 
     # -- event plumbing ----------------------------------------------------
 
@@ -192,12 +197,20 @@ class Simulator:
         self._power_cache = (speed, p)
         return p
 
+    def _mark(self, core: Core):
+        """Record that a core's members or ready queue changed at this event."""
+        self._stale.add(core.index)
+        self._touched.add(core.index)
+
     def _recompute_speed(self, t_ns):
-        u_max = 0.0
-        for core in self.cores:
-            u = policies.core_dynamic_utilization(core, t_ns)
-            if u > u_max:
-                u_max = u
+        # A core's sum changes only when a member is released or completes,
+        # or when a task moves in or out; each of these marks the core stale.
+        # Every other cached sum equals a re-sum at t_ns bit for bit.
+        cores = self.cores
+        for i in self._stale:
+            cores[i].dyn_util = policies.core_dynamic_utilization(cores[i], t_ns)
+        self._stale.clear()
+        u_max = max(core.dyn_util for core in cores)
         s = policies.policy_speed(self.cfg.policy, u_max, self.min_scale, self.critical_scale)
         if s != self.speed:
             self.speed = s
@@ -232,6 +245,7 @@ class Simulator:
         core = self.cores[run.core]
         core.ready.append(job)
         core.idle_evaluated = False
+        self._mark(core)
         self._trace(t_ns, core.index, "release", task.id, repr(job.cc_ns))
         nxt = t_ns + task.period_ns
         if nxt < self.duration_ns:
@@ -250,6 +264,7 @@ class Simulator:
         run.last_cc_ns = job.cc_ns
         if t_ns > job.deadline_ns:
             self.ledger.deadline_miss_count += 1
+        self._mark(core)
         self._trace(t_ns, core.index, "complete", job.task_id)
         return True
 
@@ -259,6 +274,7 @@ class Simulator:
         if core.ready:
             core.state = ACTIVE
             core.idle_evaluated = False
+            self._touched.add(core.index)
             self.ledger.wake_count += 1
             # kept as the exact product, not a running float sum
             self.ledger.switch_j = self.ledger.wake_count * self.cfg.e_sw_j
@@ -344,15 +360,17 @@ class Simulator:
         dest.ready.append(moved)
         dest.idle_evaluated = False
         run.core = dest.index
+        self._mark(src)
+        self._mark(dest)
         self.ledger.realloc_count += 1
         self._trace(t_ns, dest.index, "realloc", run.task.id, f"from={src.index}")
 
         # The selection rules guarantee these; check at every commit.
         u_static = policies.core_static_utilization(dest)
-        u_dyn = policies.core_dynamic_utilization(dest, t_ns)
-        u_dyn_src = policies.core_dynamic_utilization(src, t_ns)
         speed_before = self.speed
         self._recompute_speed(t_ns)
+        u_dyn = dest.dyn_util
+        u_dyn_src = src.dyn_util
         if u_dyn > self.critical_scale + 1e-9:
             raise EngineError("reallocation pushed dynamic utilization past the critical scale")
         if u_static > 1.0 + 1e-9:
@@ -374,11 +392,14 @@ class Simulator:
         self._recompute_speed(0)
 
         is_realloc = self.cfg.policy is PolicyKind.LA_REALLOC
+        cores = self.cores
+        touched = self._touched
         t_now = 0
         while heap and heap[0][0] < duration:
             t = heap[0][0]
             self._accrue(t_now, t)
             t_now = t
+            speed_before = self.speed
             batch = []
             while heap and heap[0][0] == t:
                 batch.append(heapq.heappop(heap))
@@ -402,8 +423,15 @@ class Simulator:
                         self._recompute_speed(t)
                 else:
                     self._wake(self.cores[item[2]], item[4], t)
-            for core in self.cores:
-                self._dispatch(core, t)
+            # Any other core is asleep, idle and already evaluated, or running
+            # its EDF pick at the current speed: dispatching it is a no-op.
+            if self.speed != speed_before:
+                for core in cores:
+                    self._dispatch(core, t)
+            else:
+                for i in sorted(touched):
+                    self._dispatch(cores[i], t)
+            touched.clear()
 
         self._accrue(t_now, duration)
         # Completions landing exactly on the horizon still count as on time.

@@ -18,7 +18,7 @@ from . import engine
 from .partition import PartitionError, ltf_partition
 from .policies import PolicyKind, ReallocOptions
 from .power import PowerParams, PowerTable, default_power_params, derive_speeds
-from .workload import WorkloadError, generate_task_set
+from .workload import WorkloadError, check_period_range, generate_task_set
 
 AXES = ("U", "E_sw", "m", "cc_ratio")
 POLICY_ORDER = (PolicyKind.PURE_DVS, PolicyKind.LA_DVS, PolicyKind.LA_REALLOC)
@@ -72,6 +72,9 @@ class SweepSpec:
             raise SweepError("need at least one repetition")
         if not (1 <= self.n_range[0] <= self.n_range[1]):
             raise SweepError("bad task-count range")
+        check_period_range(self.period_range_ms)
+        if self.duration_ms <= 0:
+            raise SweepError(f"duration {self.duration_ms!r} ms is not positive")
 
     @staticmethod
     def _check_axis_value(axis, value):
@@ -198,6 +201,8 @@ def run_sweep(spec: SweepSpec, params: PowerParams | None = None, workers: int =
     in (axis value, repetition) order so the outcome does not depend on the
     worker count.
     """
+    if workers < 1:
+        raise SweepError(f"need at least one worker, got {workers}")
     params = params or default_power_params()
     derived = derive_speeds(params)
     table = PowerTable(params, derived)
@@ -328,6 +333,7 @@ def run_single(
 
     Returns (task_set, assignment, ledger, trace).
     """
+    check_period_range(period_range_ms)
     instance = _instance_for(seed, n_range, u * m, m, period_range_ms, max_partition_retries)
     if instance is None:
         raise PartitionError(f"no feasible partition for seed {seed} after resampling")

@@ -109,6 +109,12 @@ def uunifast(n: int, u_target: float, rng: random.Random) -> list[float]:
     return out
 
 
+def check_period_range(period_range_ms: tuple[float, float]) -> None:
+    lo_ms, hi_ms = period_range_ms
+    if not (0 < lo_ms <= hi_ms):
+        raise WorkloadError(f"period range {lo_ms!r}:{hi_ms!r} needs 0 < MIN <= MAX")
+
+
 def generate_task_set(
     n: int,
     u_target: float,
@@ -129,9 +135,8 @@ def generate_task_set(
         raise WorkloadError("u_target must be positive")
     if u_target > n:
         raise WorkloadError(f"cannot split U={u_target} into {n} tasks with u_i <= 1")
+    check_period_range(period_range_ms)
     lo_ms, hi_ms = period_range_ms
-    if not (0 < lo_ms <= hi_ms):
-        raise WorkloadError("bad period range")
 
     rng = random.Random(seed)
     for _ in range(max_retries):

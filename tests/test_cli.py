@@ -109,6 +109,28 @@ def test_bad_fixed_parameter_fails(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, word", [
+    (["--workers", "0"], "worker"),
+    (["--workers", "-1"], "worker"),
+    (["--periods", "100:10"], "period range"),
+    (["--duration", "0"], "duration"),
+])
+def test_bad_sweep_input_fails(tmp_path, capsys, args, word):
+    out = tmp_path / "x.csv"
+    code = main(["sweep", "--sweep", "U=0.1:0.2:0.1", "--runs", "1", *args, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and word in err
+    assert not out.exists()
+
+
+def test_simulate_rejects_bad_period_range(capsys):
+    code = main(["simulate", "--periods", "100:10", "--duration", "100"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: period range 100.0:10.0")
+
+
 def test_sweep_warns_on_fully_skipped_value(tmp_path, capsys):
     # U = 1.0 on two cores: no drawn task set admits a partition
     out = tmp_path / "u.csv"

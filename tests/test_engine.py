@@ -3,7 +3,9 @@ import pytest
 from conftest import motivational_config
 from dense_oracle import integrate_trace_energy
 
-from coresleep.engine import SimConfig, Simulator, edf_pick, run, write_trace_csv
+from coresleep import policies
+from coresleep.engine import SLEEPING, SimConfig, Simulator, edf_pick, run, write_trace_csv
+from coresleep.harness import _instance_for
 from coresleep.partition import ltf_partition
 from coresleep.policies import PolicyKind
 from coresleep.power import total_power_at_speed
@@ -294,3 +296,50 @@ class TestConfigValidation:
         cfg = SimConfig(params=params, cores=3)
         with pytest.raises(ValueError):
             Simulator(cfg, motivational_tasks, motivational_assignment)
+
+
+def at_dispatch_fixed_point(sim, core):
+    """True when dispatching ``core`` now would change nothing."""
+    if core.state == SLEEPING:
+        return True
+    job = edf_pick(core.ready)
+    if job is None:
+        return core.running is None and core.idle_evaluated
+    return job is core.running and core.sched_speed == sim.speed
+
+
+class CheckedSimulator(Simulator):
+    """Checks the engine's incremental state against a full rescan: every
+    cached core utilization after each speed recompute, and between event
+    batches that no core would act if it were dispatched."""
+
+    def _recompute_speed(self, t_ns):
+        super()._recompute_speed(t_ns)
+        for core in self.cores:
+            assert core.dyn_util == policies.core_dynamic_utilization(core, t_ns), (t_ns, core.index)
+
+    def _accrue(self, t0_ns, t1_ns):
+        if t1_ns > 0:  # the first batch, at t = 0, has not dispatched yet
+            for core in self.cores:
+                assert at_dispatch_fixed_point(self, core), (t0_ns, core.index)
+        super()._accrue(t0_ns, t1_ns)
+
+
+class TestIncrementalState:
+    SEEDS = range(1, 21)
+
+    @pytest.mark.parametrize("policy", list(PolicyKind))
+    @pytest.mark.parametrize("m", [1, 2, 4, 16])
+    def test_cached_utilization_matches_rescan(self, params, derived, power_table, m, policy):
+        commits = 0
+        for seed in self.SEEDS:
+            u = (0.2, 0.4, 0.6)[seed % 3]
+            task_set, assignment = _instance_for(seed, (10, 20), u * m, m, (10.0, 100.0), 50)
+            cfg = SimConfig(params=params, cores=m, duration_ms=300.0, policy=policy, seed=seed,
+                            derived=derived, power_table=power_table, collect_trace=True)
+            ledger, trace = CheckedSimulator(cfg, task_set, assignment).run()
+            plain_ledger, plain_trace = run(cfg, task_set, assignment)
+            assert trace == plain_trace and ledger.total_j == plain_ledger.total_j
+            commits += ledger.realloc_count
+        if policy is PolicyKind.LA_REALLOC and m > 1:
+            assert commits > 0

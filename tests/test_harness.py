@@ -14,6 +14,7 @@ from coresleep.harness import (
     run_sweep,
 )
 from coresleep.policies import PolicyKind
+from coresleep.workload import WorkloadError
 
 
 def tiny_spec(**overrides):
@@ -61,6 +62,16 @@ class TestSpecValidation:
         with pytest.raises(SweepError):
             tiny_spec(**fixed)
 
+    @pytest.mark.parametrize("periods", [(100.0, 10.0), (0.0, 10.0), (-5.0, 10.0)])
+    def test_period_range(self, periods):
+        with pytest.raises(WorkloadError, match="period range"):
+            tiny_spec(period_range_ms=periods)
+
+    @pytest.mark.parametrize("duration", [0.0, -1.0])
+    def test_duration(self, duration):
+        with pytest.raises(SweepError):
+            tiny_spec(duration_ms=duration)
+
     def test_fixed_for_applies_axis(self):
         spec = tiny_spec(axis="E_sw", values=(1e-4, 2e-4))
         u, e_sw, m, cc = spec.fixed_for(2e-4)
@@ -102,6 +113,17 @@ class TestRunSweep:
         emit(run_sweep(tiny_spec(), params=params), p1)
         emit(run_sweep(tiny_spec(), params=params), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_worker_count_below_one_rejected(params, workers):
+    with pytest.raises(SweepError, match="worker"):
+        run_sweep(tiny_spec(), params=params, workers=workers)
+
+
+def test_run_single_rejects_bad_period_range(params):
+    with pytest.raises(WorkloadError, match="period range"):
+        run_single(params, PolicyKind.LA_DVS, period_range_ms=(100.0, 10.0))
 
 
 class TestInfeasibleRepetitions:
