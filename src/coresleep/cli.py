@@ -8,7 +8,7 @@ import sys
 from .engine import write_trace_csv
 from .harness import SweepSpec, emit, run_single, run_sweep
 from .partition import PartitionError
-from .policies import PolicyKind, ReallocOptions
+from .policies import PolicyKind
 from .power import PowerModelError, default_power_params, load_power_params
 from .workload import WorkloadError
 
@@ -60,7 +60,6 @@ def _add_common(parser):
                         metavar="MS_MIN:MS_MAX")
     parser.add_argument("--duration", type=float, default=10_000.0, metavar="MS")
     parser.add_argument("--seed", type=int, default=1, metavar="S")
-    parser.add_argument("--realloc-bonus", choices=("scaled", "literal"), default="scaled")
 
 
 def build_parser():
@@ -94,7 +93,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         params = load_power_params(args.constants) if args.constants else default_power_params()
-        realloc = ReallocOptions(bonus=args.realloc_bonus)
         if args.command == "simulate":
             task_set, assignment, ledger, trace = run_single(
                 params,
@@ -107,7 +105,6 @@ def main(argv=None) -> int:
                 period_range_ms=args.periods,
                 duration_ms=args.duration,
                 seed=args.seed,
-                realloc=realloc,
                 collect_trace=args.trace is not None,
             )
             if args.trace:
@@ -134,7 +131,6 @@ def main(argv=None) -> int:
                 duration_ms=args.duration,
                 repetitions=args.runs,
                 base_seed=args.seed,
-                realloc=realloc,
             )
             result = run_sweep(spec, params=params, workers=args.workers)
             for value, skipped in result.skipped.items():

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 from . import policies
 from .partition import Assignment
-from .policies import PolicyKind, ReallocOptions
-from .power import DerivedSpeeds, PowerParams, PowerTable, derive_speeds, sleep_threshold
+from .policies import PolicyKind
+from .power import PowerParams, PowerTable, derive_speeds, sleep_threshold
 from .workload import NS_PER_MS, Job, TaskSet, draw_actual_ratio
 
 EV_RELEASE, EV_COMPLETE, EV_WAKE = 0, 1, 2
@@ -108,8 +108,6 @@ class SimConfig:
     cc_mean_ratio: float = 0.5
     policy: PolicyKind = PolicyKind.LA_REALLOC
     seed: int = 0
-    realloc: ReallocOptions = field(default_factory=ReallocOptions)
-    derived: DerivedSpeeds | None = None
     power_table: PowerTable | None = None
     # Overrides for pinned-scenario tests; None derives them from the model.
     critical_scale_override: float | None = None
@@ -139,18 +137,17 @@ class Simulator:
         if assignment.cores != config.cores:
             raise ValueError("assignment core count does not match configuration")
         self.cfg = config
-        self.params = config.params
-        self.derived = config.derived or derive_speeds(config.params)
-        self.table = config.power_table or PowerTable(config.params, self.derived)
-        self.min_scale = self.derived.min_scale
+        self.table = config.power_table or PowerTable(config.params, derive_speeds(config.params))
+        derived = self.table.derived
+        self.min_scale = derived.min_scale
         if config.critical_scale_override is not None:
             self.critical_scale = config.critical_scale_override
         else:
-            self.critical_scale = self.derived.critical_scale
+            self.critical_scale = derived.critical_scale
         if config.t_th_ms_override is not None:
             self.t_th_ns = config.t_th_ms_override * NS_PER_MS
         else:
-            self.t_th_ns = sleep_threshold(self.params, self.derived, config.e_sw_j) * 1e9
+            self.t_th_ns = sleep_threshold(config.params, derived, config.e_sw_j) * 1e9
         self.duration_ns = round(config.duration_ms * NS_PER_MS)
 
         self.cores = [Core(i) for i in range(config.cores)]
@@ -162,7 +159,8 @@ class Simulator:
         for core in self.cores:
             core.members.sort(key=lambda r: r.task.id)
 
-        self.realloc_opts = config.realloc
+        # Candidate set S of the reallocation rule: awake cores whose last
+        # shift attempt failed, so they may take in another core's task.
         self.realloc_candidates: set[int] = set()
         self.speed = -1.0          # sentinel; the t=0 recompute always sets it
         self.ledger = EnergyLedger(
@@ -202,7 +200,7 @@ class Simulator:
         self._stale.add(core.index)
         self._touched.add(core.index)
 
-    def _recompute_speed(self, t_ns):
+    def _resum(self, t_ns):
         # A core's sum changes only when a member is released or completes,
         # or when a task moves in or out; each of these marks the core stale.
         # Every other cached sum equals a re-sum at t_ns bit for bit.
@@ -210,8 +208,15 @@ class Simulator:
         for i in self._stale:
             cores[i].dyn_util = policies.core_dynamic_utilization(cores[i], t_ns)
         self._stale.clear()
-        u_max = max(core.dyn_util for core in cores)
-        s = policies.policy_speed(self.cfg.policy, u_max, self.min_scale, self.critical_scale)
+
+    def _speed_of_sums(self):
+        """Global speed the policy sets for the cached per-core sums."""
+        u_max = max(core.dyn_util for core in self.cores)
+        return policies.policy_speed(self.cfg.policy, u_max, self.min_scale, self.critical_scale)
+
+    def _recompute_speed(self, t_ns):
+        self._resum(t_ns)
+        s = self._speed_of_sums()
         if s != self.speed:
             self.speed = s
             self._trace(t_ns, None, "speed_change", None, repr(s))
@@ -336,10 +341,42 @@ class Simulator:
         wall = max(0, int(job.remaining_ns / self.speed + 0.5))
         self._push(t_ns + wall, EV_COMPLETE, core.index, core.sched_version)
 
-    # -- reallocation interface (called from the policy hook) ---------------
+    # -- reallocation ----------------------------------------------------------
 
-    def commit_reallocation(self, run: TaskRun, dest: Core, t_ns):
-        src = self.cores[run.core]
+    def _reallocate(self, run: TaskRun, t_ns):
+        """Reallocation attempt for a task whose job was just enqueued: shift
+        the task to a candidate core when that opens a sleepable idle interval
+        on its home core.  The home core leaves S on a shift and joins it
+        otherwise."""
+        home = self.cores[run.core]
+        task = run.task
+        dest = None
+        # An unfinished older job pins the task: jobs never migrate mid-flight,
+        # so the shift is skipped for this release (counts as a failed attempt).
+        backlog = any(
+            job.task_id == task.id and job.arrival_ns < t_ns for job in home.ready
+        )
+        if not backlog:
+            dt = policies.compute_dt_ns(home, t_ns, self.critical_scale)
+            if policies.upon_task_release(dt, task.wcet_ns, self.critical_scale, self.t_th_ns):
+                self._resum(t_ns)
+                cores = self.cores
+                options = [
+                    (cores[i].dyn_util, i, policies.core_static_utilization(cores[i]))
+                    for i in self.realloc_candidates if i != home.index
+                ]
+                dest = policies.select_core(task.utilization, options, self.critical_scale)
+        if dest is None:
+            self.realloc_candidates.add(home.index)
+        else:
+            self.realloc_candidates.discard(home.index)
+            self._commit(run, home, self.cores[dest], t_ns)
+
+    def _commit(self, run: TaskRun, src: Core, dest: Core, t_ns):
+        # The speed this instant gives without the move (the sums are fresh
+        # from the destination search); other releases at t_ns may already
+        # have raised it above self.speed.
+        speed_before = self._speed_of_sums()
         moved = None
         for job in src.ready:
             if job.task_id == run.task.id:
@@ -367,7 +404,6 @@ class Simulator:
 
         # The selection rules guarantee these; check at every commit.
         u_static = policies.core_static_utilization(dest)
-        speed_before = self.speed
         self._recompute_speed(t_ns)
         u_dyn = dest.dyn_util
         u_dyn_src = src.dyn_util
@@ -414,7 +450,7 @@ class Simulator:
                     later.append(item)
             for run in released:
                 if is_realloc:
-                    policies.upon_task_release(run, t, self)
+                    self._reallocate(run, t)
                 self._recompute_speed(t)
             for item in later:
                 kind = item[1]

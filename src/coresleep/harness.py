@@ -11,14 +11,14 @@ leakage-aware DVS policy.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import Pool
 
 from . import engine
 from .partition import PartitionError, ltf_partition
-from .policies import PolicyKind, ReallocOptions
+from .policies import PolicyKind
 from .power import PowerParams, PowerTable, default_power_params, derive_speeds
-from .workload import WorkloadError, check_period_range, generate_task_set
+from .workload import WorkloadError, check_period_range, check_task_range, generate_task_set
 
 AXES = ("U", "E_sw", "m", "cc_ratio")
 POLICY_ORDER = (PolicyKind.PURE_DVS, PolicyKind.LA_DVS, PolicyKind.LA_REALLOC)
@@ -39,6 +39,28 @@ class SweepError(ValueError):
     """Invalid sweep specification or degenerate normalization."""
 
 
+def _check_axis_value(axis, value):
+    if axis == "U" and not (0.0 < value <= 1.0):
+        raise SweepError(f"U value {value} outside (0, 1]")
+    if axis == "E_sw" and value < 0:
+        raise SweepError(f"E_sw value {value} negative")
+    if axis == "m" and (int(value) != value or value < 1):
+        raise SweepError(f"core count {value} not a positive integer")
+    if axis == "cc_ratio" and not (0.0 < value <= 1.0):
+        raise SweepError(f"cc ratio {value} outside (0, 1]")
+
+
+def _check_run_parameters(u, e_sw_j, m, cc_ratio, n_range, period_range_ms, duration_ms):
+    """Checks shared by a sweep's fixed parameters and a single run, made
+    before anything is drawn."""
+    for axis, value in zip(AXES, (u, e_sw_j, m, cc_ratio)):
+        _check_axis_value(axis, value)
+    check_task_range(n_range)
+    check_period_range(period_range_ms)
+    if duration_ms <= 0:
+        raise SweepError(f"duration {duration_ms!r} ms is not positive")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One experiment: an axis with its values plus the fixed parameters."""
@@ -54,7 +76,6 @@ class SweepSpec:
     duration_ms: float = 10_000.0
     repetitions: int = 100
     base_seed: int = 1
-    realloc: ReallocOptions = field(default_factory=ReallocOptions)
     max_partition_retries: int = 50
 
     def __post_init__(self):
@@ -65,27 +86,11 @@ class SweepSpec:
             raise SweepError("axis values must be nonempty and strictly increasing")
         object.__setattr__(self, "values", vals)
         for value in vals:
-            self._check_axis_value(self.axis, value)
-        for axis, value in zip(AXES, (self.u, self.e_sw_j, self.m, self.cc_ratio)):
-            self._check_axis_value(axis, value)
+            _check_axis_value(self.axis, value)
+        _check_run_parameters(self.u, self.e_sw_j, self.m, self.cc_ratio, self.n_range,
+                              self.period_range_ms, self.duration_ms)
         if self.repetitions < 1:
             raise SweepError("need at least one repetition")
-        if not (1 <= self.n_range[0] <= self.n_range[1]):
-            raise SweepError("bad task-count range")
-        check_period_range(self.period_range_ms)
-        if self.duration_ms <= 0:
-            raise SweepError(f"duration {self.duration_ms!r} ms is not positive")
-
-    @staticmethod
-    def _check_axis_value(axis, value):
-        if axis == "U" and not (0.0 < value <= 1.0):
-            raise SweepError(f"U value {value} outside (0, 1]")
-        if axis == "E_sw" and value < 0:
-            raise SweepError(f"E_sw value {value} negative")
-        if axis == "m" and (int(value) != value or value < 1):
-            raise SweepError(f"core count {value} not a positive integer")
-        if axis == "cc_ratio" and not (0.0 < value <= 1.0):
-            raise SweepError(f"cc ratio {value} outside (0, 1]")
 
     def fixed_for(self, value):
         """The (u, e_sw, m, cc_ratio) tuple with the axis value applied."""
@@ -151,10 +156,9 @@ def _instance_for(seed, n_range, u_tot, m, period_range_ms, max_retries):
 _WORKER_CTX: dict = {}
 
 
-def _init_worker(spec, params, derived, table):
+def _init_worker(spec, params, table):
     _WORKER_CTX["spec"] = spec
     _WORKER_CTX["params"] = params
-    _WORKER_CTX["derived"] = derived
     _WORKER_CTX["table"] = table
 
 
@@ -180,8 +184,6 @@ def _run_repetition(job):
             cc_mean_ratio=cc,
             policy=policy,
             seed=seed,
-            realloc=spec.realloc,
-            derived=_WORKER_CTX["derived"],
             power_table=_WORKER_CTX["table"],
         )
         ledger, _ = engine.run(cfg, task_set, assignment)
@@ -204,15 +206,14 @@ def run_sweep(spec: SweepSpec, params: PowerParams | None = None, workers: int =
     if workers < 1:
         raise SweepError(f"need at least one worker, got {workers}")
     params = params or default_power_params()
-    derived = derive_speeds(params)
-    table = PowerTable(params, derived)
+    table = PowerTable(params, derive_speeds(params))
 
     jobs = [(vi, rep) for vi in range(len(spec.values)) for rep in range(spec.repetitions)]
     if workers > 1:
-        with Pool(workers, initializer=_init_worker, initargs=(spec, params, derived, table)) as pool:
+        with Pool(workers, initializer=_init_worker, initargs=(spec, params, table)) as pool:
             raw = pool.map(_run_repetition, jobs, chunksize=4)
     else:
-        _init_worker(spec, params, derived, table)
+        _init_worker(spec, params, table)
         raw = [_run_repetition(job) for job in jobs]
     raw.sort(key=lambda item: (item[0], item[1]))
 
@@ -272,7 +273,6 @@ def emit(result: SweepResult, path) -> None:
     lines.append(f"# duration_ms = {spec.duration_ms!r}")
     lines.append(f"# repetitions = {spec.repetitions}")
     lines.append(f"# base_seed = {spec.base_seed}")
-    lines.append(f"# realloc = bonus:{spec.realloc.bonus}")
     skipped_total = sum(result.skipped.values())
     lines.append(f"# skipped_repetitions = {skipped_total}")
     lines.append("axis,value,policy,energy_j,normalized,misses,wakes,failed_sleeps,runs")
@@ -325,7 +325,6 @@ def run_single(
     period_range_ms: tuple[float, float] = (10.0, 100.0),
     duration_ms: float = 10_000.0,
     seed: int = 1,
-    realloc: ReallocOptions | None = None,
     collect_trace: bool = False,
     max_partition_retries: int = 50,
 ):
@@ -333,7 +332,7 @@ def run_single(
 
     Returns (task_set, assignment, ledger, trace).
     """
-    check_period_range(period_range_ms)
+    _check_run_parameters(u, e_sw_j, m, cc_ratio, n_range, period_range_ms, duration_ms)
     instance = _instance_for(seed, n_range, u * m, m, period_range_ms, max_partition_retries)
     if instance is None:
         raise PartitionError(f"no feasible partition for seed {seed} after resampling")
@@ -346,7 +345,6 @@ def run_single(
         cc_mean_ratio=cc_ratio,
         policy=policy,
         seed=seed,
-        realloc=realloc or ReallocOptions(),
         collect_trace=collect_trace,
     )
     ledger, trace = engine.run(cfg, task_set, assignment)

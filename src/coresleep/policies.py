@@ -2,18 +2,16 @@
 
 Three policies share the engine: plain utilization-tracking DVS, DVS with a
 leakage-aware floor at the critical speed, and the latter extended with task
-reallocation at job release.  The reallocation hook decides, each time a job
+reallocation at job release.  The reallocation rules decide, each time a job
 arrives, whether shifting its task to another awake core would open up an
-idle interval long enough to put the home core to sleep.
+idle interval long enough to put the home core to sleep, and where to.
 
-Functions here operate on the engine's core/task-run state objects but keep
-no state of their own except the candidate-core set ``S`` owned by the
-simulation run.
+Functions here read core and task-run state but keep none; the engine owns
+the candidate-core set ``S`` and commits the shifts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .workload import next_release
@@ -28,22 +26,6 @@ class PolicyKind(Enum):
     PURE_DVS = "pure_dvs"
     LA_DVS = "la_dvs"
     LA_REALLOC = "la_realloc"
-
-
-@dataclass(frozen=True)
-class ReallocOptions:
-    """Switch for the ambiguous reading of the reallocation rule.
-
-    bonus: how the freed execution time of the shifted task enters the
-      idle-interval test.  'scaled' converts the worst case to execution
-      time at the critical speed (default); 'literal' adds it unscaled.
-    """
-
-    bonus: str = "scaled"
-
-    def __post_init__(self):
-        if self.bonus not in ("scaled", "literal"):
-            raise ValueError(f"bad bonus mode {self.bonus!r}")
 
 
 def current_arrival(period_ns: int, t_ns: int) -> int:
@@ -97,59 +79,33 @@ def compute_dt_ns(core, t_ns: int, critical_scale: float) -> float:
     return gap - compute_load_ns(core, t_ns) / critical_scale
 
 
-def select_core(run, t_ns: int, candidates, cores, critical_scale):
-    """Pick the reallocation destination for ``run``'s task, or None.
+def select_core(u_i: float, options, critical_scale: float):
+    """Pick the reallocation destination for a task of utilization ``u_i``.
 
-    Among candidate cores other than the task's home whose static utilization
-    stays within 1, takes the one with the lowest dynamic utilization (ties
-    by index).  Accepts it only if the move keeps that core's dynamic
-    utilization at or below the critical scale factor, so the shift can never
-    push the global speed up.
+    ``options`` holds (dynamic utilization, index, static utilization) of
+    each awake candidate core other than the task's home.  Among those whose
+    static utilization stays within 1, takes the one with the lowest dynamic
+    utilization (ties by index), and returns its index if the move keeps its
+    dynamic utilization at or below the critical scale factor, so the shift
+    can never push the global speed up; else None.
     """
-    u_i = run.task.utilization
     best = None
-    for idx in sorted(candidates):
-        if idx == run.core:
+    for u_dyn, idx, u_static in options:
+        if u_static + u_i > 1.0 + _EPS:
             continue
-        core = cores[idx]
-        if core_static_utilization(core) + u_i > 1.0 + _EPS:
-            continue
-        u_dyn = core_dynamic_utilization(core, t_ns)
-        if best is None or (u_dyn, idx) < (best[0], best[1]):
-            best = (u_dyn, idx, core)
+        if best is None or (u_dyn, idx) < best:
+            best = (u_dyn, idx)
     if best is not None and best[0] + u_i <= critical_scale + _EPS:
-        return best[2]
+        return best[1]
     return None
 
 
-def upon_task_release(run, t_ns: int, sim):
-    """Reallocation hook, invoked after the newly released job is enqueued.
-
-    Returns the destination core when the task was shifted, else None.
-    The home core leaves the candidate set on a shift and joins it otherwise.
-    """
-    home = sim.cores[run.core]
-    task = run.task
-    dest = None
-    # An unfinished older job pins the task: jobs never migrate mid-flight,
-    # so the shift is skipped for this release (counts as a failed attempt).
-    backlog = any(
-        job.task_id == task.id and job.arrival_ns < t_ns for job in home.ready
-    )
-    if not backlog:
-        dt = compute_dt_ns(home, t_ns, sim.critical_scale)
-        if sim.realloc_opts.bonus == "scaled":
-            bonus = task.wcet_ns / sim.critical_scale
-        else:
-            bonus = task.wcet_ns
-        if dt + bonus >= sim.t_th_ns:
-            dest = select_core(run, t_ns, sim.realloc_candidates, sim.cores, sim.critical_scale)
-    if dest is not None:
-        sim.realloc_candidates.discard(home.index)
-        sim.commit_reallocation(run, dest, t_ns)
-    else:
-        sim.realloc_candidates.add(home.index)
-    return dest
+def upon_task_release(dt_ns: float, wcet_ns: float, critical_scale: float,
+                      t_th_ns: float) -> bool:
+    """Reallocation gate at a job release: True when the home core's idle
+    interval ``dt_ns`` plus the released task's worst case, as execution time
+    at the critical speed, reaches the sleep threshold."""
+    return dt_ns + wcet_ns / critical_scale >= t_th_ns
 
 
 def policy_speed(kind: PolicyKind, u_max: float, min_scale: float, critical_scale: float) -> float:

@@ -259,13 +259,14 @@ class PowerTable:
     """Sampled power-vs-speed curve for the simulator inner loop.
 
     Linear interpolation over a dense grid; error is orders of magnitude
-    below the energy tolerances used anywhere in the experiments.
+    below the energy tolerances used anywhere in the experiments.  Keeps the
+    speeds it was built from as ``derived``.
     """
 
     def __init__(self, params: PowerParams, derived: DerivedSpeeds, points: int = 4096):
+        self.derived = derived
         s_min = derived.min_scale
         step = (1.0 - s_min) / points
-        self.s_min = s_min
         self._grid = [s_min + i * step for i in range(points + 1)]
         self._grid[-1] = 1.0
         self._power = [total_power_at_speed(params, derived, s) for s in self._grid]

@@ -12,6 +12,8 @@ import random
 from dataclasses import dataclass
 
 NS_PER_MS = 1_000_000
+# Most tasks the generator draws for one set.
+MAX_TASKS = 20
 
 
 class WorkloadError(ValueError):
@@ -115,13 +117,17 @@ def check_period_range(period_range_ms: tuple[float, float]) -> None:
         raise WorkloadError(f"period range {lo_ms!r}:{hi_ms!r} needs 0 < MIN <= MAX")
 
 
+def check_task_range(n_range: tuple[int, int]) -> None:
+    lo, hi = n_range
+    if not (1 <= lo <= hi <= MAX_TASKS):
+        raise WorkloadError(f"task range {lo}:{hi} needs 1 <= MIN <= MAX <= {MAX_TASKS}")
+
+
 def generate_task_set(
     n: int,
     u_target: float,
     period_range_ms: tuple[float, float] = (10.0, 100.0),
     seed: int | str = 0,
-    max_tasks: int = 20,
-    max_retries: int = 1000,
 ) -> TaskSet:
     """Random task set: ``n`` tasks, utilizations summing to ``u_target``.
 
@@ -129,8 +135,7 @@ def generate_task_set(
     UUniFast recursion, resampled until every task fits on one core
     (u_i <= 1).  Deterministic for a given ``seed``.
     """
-    if not (1 <= n <= max_tasks):
-        raise WorkloadError(f"n={n} outside [1, {max_tasks}]")
+    check_task_range((n, n))
     if u_target <= 0:
         raise WorkloadError("u_target must be positive")
     if u_target > n:
@@ -139,12 +144,13 @@ def generate_task_set(
     lo_ms, hi_ms = period_range_ms
 
     rng = random.Random(seed)
-    for _ in range(max_retries):
+    tries = 1000
+    for _ in range(tries):
         utils = uunifast(n, u_target, rng)
         if all(0.0 < u <= 1.0 for u in utils):
             break
     else:
-        raise WorkloadError(f"no feasible utilization split after {max_retries} tries")
+        raise WorkloadError(f"no feasible utilization split after {tries} tries")
 
     tasks = []
     for i, u in enumerate(utils):

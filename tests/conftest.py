@@ -42,11 +42,10 @@ def motivational_assignment(motivational_tasks):
     return ltf_partition(motivational_tasks, 2)
 
 
-def motivational_config(params, policy, derived=None, table=None, duration_ms=16.0,
-                        collect_trace=True, realloc=None):
+def motivational_config(params, policy, duration_ms=16.0, collect_trace=True):
     """Pinned configuration for the hand-computed scenario: actual execution
     equals the worst case, critical scale 0.4, sleep threshold 2 ms."""
-    kwargs = dict(
+    return SimConfig(
         params=params,
         cores=2,
         duration_ms=duration_ms,
@@ -57,9 +56,4 @@ def motivational_config(params, policy, derived=None, table=None, duration_ms=16
         critical_scale_override=0.4,
         t_th_ms_override=2.0,
         collect_trace=collect_trace,
-        derived=derived,
-        power_table=table,
     )
-    if realloc is not None:
-        kwargs["realloc"] = realloc
-    return SimConfig(**kwargs)

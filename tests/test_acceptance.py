@@ -114,7 +114,7 @@ def _oracle_instance(seed):
     return TaskSet(tasks=tuple(tasks))
 
 
-def test_criterion_3_oracle_equivalence(params, derived, power_table):
+def test_criterion_3_oracle_equivalence(params, power_table):
     worst = 0.0
     checked = 0
     for seed in range(24):
@@ -126,7 +126,7 @@ def test_criterion_3_oracle_equivalence(params, derived, power_table):
             cfg = SimConfig(
                 params=params, cores=2, duration_ms=duration_ms, e_sw_j=e_sw,
                 cc_mean_ratio=0.5, policy=policy, seed=seed,
-                derived=derived, power_table=power_table, collect_trace=True,
+                power_table=power_table, collect_trace=True,
             )
             ledger, trace = run(cfg, task_set, assignment)
             oracle = integrate_trace_energy(
@@ -183,8 +183,8 @@ def test_criterion_4_utilization_sweep_low_extreme(fig3, params, derived, power_
         assert task_set.total_utilization <= derived.critical_scale
         cfg = SimConfig(
             params=params, cores=m, duration_ms=spec.duration_ms, e_sw_j=e_sw,
-            cc_mean_ratio=cc, policy=PolicyKind.LA_DVS, seed=seed, realloc=spec.realloc,
-            derived=derived, power_table=power_table,
+            cc_mean_ratio=cc, policy=PolicyKind.LA_DVS, seed=seed,
+            power_table=power_table,
         )
         ledger, _ = run(cfg, task_set, _packed_onto_core_zero(task_set, m))
         packed.append(ledger.total_j)
@@ -236,7 +236,7 @@ def test_criterion_6_safety_properties(params, derived, power_table):
             cfg = SimConfig(
                 params=params, cores=m, duration_ms=2000.0, e_sw_j=e_sw,
                 cc_mean_ratio=cc, policy=policy, seed=seed,
-                derived=derived, power_table=power_table,
+                power_table=power_table,
             )
             ledger, _ = run(cfg, task_set, assignment)  # commit checks raise on violation
             misses += ledger.deadline_miss_count

@@ -131,6 +131,30 @@ def test_simulate_rejects_bad_period_range(capsys):
     assert err.startswith("error: period range 100.0:10.0")
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--util", "0"], "error: U value 0.0 outside"),
+    (["--cores", "0"], "error: core count 0 "),
+    (["--tasks", "25:30"], "error: task range 25:30 "),
+    (["--tasks", "0:0"], "error: task range 0:0 "),
+    (["--tasks", "5:3"], "error: task range 5:3 "),
+])
+def test_simulate_names_bad_input(capsys, args, message):
+    code = main(["simulate", *args, "--duration", "100"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(message)
+
+
+def test_sweep_rejects_task_range_beyond_generator(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = main(["sweep", "--sweep", "U=0.1:0.2:0.1", "--tasks", "25:30", "--runs", "1",
+                 "--duration", "100", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: task range 25:30 ")
+    assert not out.exists()
+
+
 def test_sweep_warns_on_fully_skipped_value(tmp_path, capsys):
     # U = 1.0 on two cores: no drawn task set admits a partition
     out = tmp_path / "u.csv"

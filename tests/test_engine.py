@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conftest import motivational_config
@@ -9,7 +11,7 @@ from coresleep.harness import _instance_for
 from coresleep.partition import ltf_partition
 from coresleep.policies import PolicyKind
 from coresleep.power import total_power_at_speed
-from coresleep.workload import NS_PER_MS, Job, TaskSet, task_from_ms
+from coresleep.workload import NS_PER_MS, Job, Task, TaskSet, task_from_ms, uunifast
 
 MS = NS_PER_MS
 
@@ -132,13 +134,13 @@ class TestMotivationalScenario:
 
 
 class TestDeterminism:
-    def test_bit_identical_repeat(self, params, derived, power_table):
+    def test_bit_identical_repeat(self, params, power_table):
         from coresleep.workload import generate_task_set
 
         ts = generate_task_set(8, 0.8, seed=21)
         asg = ltf_partition(ts, 2)
         cfg = dict(params=params, cores=2, duration_ms=300.0, policy=PolicyKind.LA_REALLOC,
-                   seed=21, derived=derived, power_table=power_table, collect_trace=True)
+                   seed=21, power_table=power_table, collect_trace=True)
         led1, tr1 = run(SimConfig(**cfg), ts, asg)
         led2, tr2 = run(SimConfig(**cfg), ts, asg)
         assert tr1 == tr2
@@ -149,13 +151,13 @@ class TestDeterminism:
 
 
 class TestLedgerAccounting:
-    def test_total_is_sum_of_parts(self, params, derived, power_table):
+    def test_total_is_sum_of_parts(self, params, power_table):
         from coresleep.workload import generate_task_set
 
         ts = generate_task_set(6, 0.9, seed=3)
         asg = ltf_partition(ts, 2)
         cfg = SimConfig(params=params, cores=2, duration_ms=500.0, policy=PolicyKind.LA_REALLOC,
-                        seed=3, derived=derived, power_table=power_table)
+                        seed=3, power_table=power_table)
         ledger, _ = run(cfg, ts, asg)
         assert ledger.total_j == sum(ledger.busy_j) + sum(ledger.idle_j) + ledger.switch_j
         assert all(e >= 0 for e in ledger.busy_j + ledger.idle_j)
@@ -195,31 +197,31 @@ class TestJobIntegrity:
                 assert job_core[task] == c
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_one_core_per_job(self, params, derived, power_table, seed):
+    def test_one_core_per_job(self, params, power_table, seed):
         from coresleep.workload import generate_task_set
 
         ts = generate_task_set(7, 1.0, seed=seed)
         asg = ltf_partition(ts, 2)
         cfg = SimConfig(params=params, cores=2, duration_ms=400.0, policy=PolicyKind.LA_REALLOC,
-                        seed=seed, derived=derived, power_table=power_table, collect_trace=True)
+                        seed=seed, power_table=power_table, collect_trace=True)
         _, trace = run(cfg, ts, asg)
         self._replay(trace)
 
     @pytest.mark.parametrize("policy", [PolicyKind.LA_DVS, PolicyKind.LA_REALLOC])
-    def test_no_misses_with_leakage_aware_policies(self, params, derived, power_table, policy):
+    def test_no_misses_with_leakage_aware_policies(self, params, power_table, policy):
         from coresleep.workload import generate_task_set
 
         for seed in range(20):
             ts = generate_task_set(8, 1.2, seed=seed)
             asg = ltf_partition(ts, 2)
             cfg = SimConfig(params=params, cores=2, duration_ms=500.0, policy=policy,
-                            seed=seed, derived=derived, power_table=power_table)
+                            seed=seed, power_table=power_table)
             ledger, _ = run(cfg, ts, asg)
             assert ledger.deadline_miss_count == 0
 
 
 class TestShiftOffSleepingCore:
-    def test_stale_wake_charges_nothing(self, params, derived, power_table):
+    def test_stale_wake_charges_nothing(self, params, power_table):
         """A job released on a sleeping core can be reallocated away in the
         same instant; the pending wake then finds no work and the core keeps
         sleeping without paying the switching energy.  Seed 26 hits this
@@ -230,7 +232,7 @@ class TestShiftOffSleepingCore:
         asg = ltf_partition(ts, 2)
         cfg = SimConfig(params=params, cores=2, duration_ms=1000.0, e_sw_j=5e-4,
                         cc_mean_ratio=0.5, policy=PolicyKind.LA_REALLOC, seed=26,
-                        derived=derived, power_table=power_table, collect_trace=True)
+                        power_table=power_table, collect_trace=True)
         ledger, trace = run(cfg, ts, asg)
 
         asleep = {}
@@ -251,7 +253,7 @@ class TestShiftOffSleepingCore:
 
 
 class TestPairedDraws:
-    def test_identical_actual_times_across_policies(self, params, derived, power_table):
+    def test_identical_actual_times_across_policies(self, params, power_table):
         """Paired comparisons rely on every policy seeing the same drawn
         execution time for each job; the draw streams are keyed by (seed,
         task), not by schedule order."""
@@ -262,7 +264,7 @@ class TestPairedDraws:
         draws = []
         for policy in PolicyKind:
             cfg = SimConfig(params=params, cores=2, duration_ms=400.0, policy=policy,
-                            seed=13, derived=derived, power_table=power_table,
+                            seed=13, power_table=power_table,
                             collect_trace=True)
             _, trace = run(cfg, ts, asg)
             draws.append([(t, task, d) for (t, _c, ev, task, d) in trace if ev == "release"])
@@ -310,13 +312,33 @@ def at_dispatch_fixed_point(sim, core):
 
 class CheckedSimulator(Simulator):
     """Checks the engine's incremental state against a full rescan: every
-    cached core utilization after each speed recompute, and between event
-    batches that no core would act if it were dispatched."""
+    cached core utilization after each speed recompute, every option handed
+    to ``select_core``, and between event batches that no core would act if
+    it were dispatched."""
+
+    selects = 0
 
     def _recompute_speed(self, t_ns):
         super()._recompute_speed(t_ns)
         for core in self.cores:
             assert core.dyn_util == policies.core_dynamic_utilization(core, t_ns), (t_ns, core.index)
+
+    def _reallocate(self, run, t_ns):
+        select_core = policies.select_core
+
+        def checked(u_i, options, critical_scale):
+            for u_dyn, idx, u_static in options:
+                core = self.cores[idx]
+                assert u_dyn == policies.core_dynamic_utilization(core, t_ns), (t_ns, idx)
+                assert u_static == policies.core_static_utilization(core), (t_ns, idx)
+            self.selects += 1
+            return select_core(u_i, options, critical_scale)
+
+        policies.select_core = checked
+        try:
+            super()._reallocate(run, t_ns)
+        finally:
+            policies.select_core = select_core
 
     def _accrue(self, t0_ns, t1_ns):
         if t1_ns > 0:  # the first batch, at t = 0, has not dispatched yet
@@ -325,21 +347,60 @@ class CheckedSimulator(Simulator):
         super()._accrue(t0_ns, t1_ns)
 
 
+def harmonic_instance(seed, m):
+    """Task set with periods from {5, 10, 20, 40} ms, so releases on
+    different cores keep coinciding, partitioned onto ``m`` cores."""
+    rng = random.Random(f"harmonic:{seed}")
+    n = rng.randint(m + 1, 3 * m)
+    u_tot = rng.uniform(0.2, 0.6) * m
+    utils = uunifast(n, u_tot, rng)
+    while not all(0.0 < u <= 1.0 for u in utils):
+        utils = uunifast(n, u_tot, rng)
+    tasks = []
+    for i, u in enumerate(utils):
+        period_ns = rng.choice((5, 10, 20, 40)) * MS
+        tasks.append(Task(id=i, period_ns=period_ns, wcet_ns=u * period_ns))
+    task_set = TaskSet(tasks=tuple(tasks))
+    return task_set, ltf_partition(task_set, m)
+
+
 class TestIncrementalState:
     SEEDS = range(1, 21)
 
     @pytest.mark.parametrize("policy", list(PolicyKind))
     @pytest.mark.parametrize("m", [1, 2, 4, 16])
-    def test_cached_utilization_matches_rescan(self, params, derived, power_table, m, policy):
+    def test_cached_utilization_matches_rescan(self, params, power_table, m, policy):
         commits = 0
         for seed in self.SEEDS:
             u = (0.2, 0.4, 0.6)[seed % 3]
             task_set, assignment = _instance_for(seed, (10, 20), u * m, m, (10.0, 100.0), 50)
             cfg = SimConfig(params=params, cores=m, duration_ms=300.0, policy=policy, seed=seed,
-                            derived=derived, power_table=power_table, collect_trace=True)
+                            power_table=power_table, collect_trace=True)
             ledger, trace = CheckedSimulator(cfg, task_set, assignment).run()
             plain_ledger, plain_trace = run(cfg, task_set, assignment)
             assert trace == plain_trace and ledger.total_j == plain_ledger.total_j
             commits += ledger.realloc_count
         if policy is PolicyKind.LA_REALLOC and m > 1:
             assert commits > 0
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 8])
+    def test_harmonic_periods_match_rescan(self, params, power_table, m):
+        # Coinciding releases on other cores raise the speed at the instant
+        # of a commit; the commit check must compare against that speed.
+        commits = selects = 0
+        for seed in self.SEEDS:
+            task_set, assignment = harmonic_instance(seed, m)
+            cfg = SimConfig(params=params, cores=m, duration_ms=400.0,
+                            cc_mean_ratio=(0.2, 0.5, 0.8)[seed % 3],
+                            policy=PolicyKind.LA_REALLOC, seed=seed,
+                            power_table=power_table, collect_trace=True)
+            sim = CheckedSimulator(cfg, task_set, assignment)
+            ledger, trace = sim.run()
+            plain_ledger, plain_trace = run(cfg, task_set, assignment)
+            assert trace == plain_trace and ledger.total_j == plain_ledger.total_j
+            assert ledger.deadline_miss_count == 0
+            for _u_st, _u_dy, _u_src, s_before, s_after in ledger.realloc_checks:
+                assert s_after <= s_before + 1e-12
+            commits += ledger.realloc_count
+            selects += sim.selects
+        assert commits > 0 and selects >= commits

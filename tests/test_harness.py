@@ -67,6 +67,11 @@ class TestSpecValidation:
         with pytest.raises(WorkloadError, match="period range"):
             tiny_spec(period_range_ms=periods)
 
+    @pytest.mark.parametrize("tasks", [(0, 5), (5, 3), (0, 0), (25, 30), (10, 21)])
+    def test_task_range(self, tasks):
+        with pytest.raises(WorkloadError, match="task range"):
+            tiny_spec(n_range=tasks)
+
     @pytest.mark.parametrize("duration", [0.0, -1.0])
     def test_duration(self, duration):
         with pytest.raises(SweepError):
@@ -124,6 +129,20 @@ def test_worker_count_below_one_rejected(params, workers):
 def test_run_single_rejects_bad_period_range(params):
     with pytest.raises(WorkloadError, match="period range"):
         run_single(params, PolicyKind.LA_DVS, period_range_ms=(100.0, 10.0))
+
+
+@pytest.mark.parametrize("bad, match", [
+    (dict(u=0.0), "U value"),
+    (dict(m=0), "core count"),
+    (dict(e_sw_j=-1e-3), "E_sw"),
+    (dict(cc_ratio=1.5), "cc ratio"),
+    (dict(n_range=(25, 30)), "task range"),
+    (dict(n_range=(5, 3)), "task range"),
+    (dict(duration_ms=0.0), "duration"),
+])
+def test_run_single_checks_inputs_before_drawing(params, bad, match):
+    with pytest.raises(ValueError, match=match):
+        run_single(params, PolicyKind.LA_DVS, **bad)
 
 
 class TestInfeasibleRepetitions:

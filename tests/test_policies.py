@@ -5,13 +5,13 @@ from conftest import motivational_config
 from coresleep.engine import Simulator, run
 from coresleep.policies import (
     PolicyKind,
-    ReallocOptions,
     compute_dt_ns,
     compute_load_ns,
     core_dynamic_utilization,
     core_next_release_ns,
     policy_speed,
     select_core,
+    upon_task_release,
 )
 from coresleep.workload import NS_PER_MS
 
@@ -89,30 +89,51 @@ class TestCoreNextRelease:
 
 
 class TestSelectCore:
-    def test_empty_candidates(self, sim):
-        assert select_core(sim.runs[3], 0, set(), sim.cores, 0.4) is None
+    """Options are (dynamic utilization, core index, static utilization).
+    The numbers are the hand-computed scenario at t = 2 ms: task 1 (u = 0.3)
+    alone on core 0, tasks 2 and 3 (u = 0.1 each) on core 1, which carries
+    dynamic and static utilization 0.2."""
 
-    def test_accepts_core_at_critical_scale(self, sim):
-        to_state_after_first_cycle(sim)
+    def test_empty_candidates(self):
+        assert select_core(0.1, [], 0.4) is None
+
+    def test_accepts_core_at_critical_scale(self):
         # shifting task 3 onto core 0 lands exactly on the critical scale
-        dest = select_core(sim.runs[3], 2 * MS, {0}, sim.cores, 0.4)
-        assert dest is sim.cores[0]
+        assert select_core(0.1, [(0.3, 0, 0.3)], 0.4) == 0
 
-    def test_rejects_when_dynamic_load_too_high(self, sim):
-        to_state_after_first_cycle(sim)
+    def test_rejects_when_dynamic_load_too_high(self):
         # task 1 cannot move to core 1: 0.2 + 0.3 exceeds the critical scale
-        assert select_core(sim.runs[1], 2 * MS, {1}, sim.cores, 0.4) is None
+        assert select_core(0.3, [(0.2, 1, 0.2)], 0.4) is None
 
-    def test_rejects_static_overload(self, sim):
-        to_state_after_first_cycle(sim)
-        sim.runs[1].task = sim.runs[1].task.__class__(
-            id=1, period_ns=2 * MS, wcet_ns=1.9 * MS
-        )
-        assert select_core(sim.runs[1], 2 * MS, {1}, sim.cores, 1.0) is None
+    def test_rejects_static_overload(self):
+        # task 1 stretched to u = 0.95 does not fit next to core 1's 0.2
+        assert select_core(0.95, [(0.2, 1, 0.2)], 1.0) is None
+
+    def test_tie_by_index(self):
+        options = [(0.2, 3, 0.2), (0.25, 0, 0.1), (0.2, 1, 0.5)]
+        assert select_core(0.1, options, 0.4) == 1
 
     def test_home_excluded(self, sim):
+        # task 3's home core 1 is the only candidate: the engine offers no
+        # option, so the shift fails and core 1 stays in S
         to_state_after_first_cycle(sim)
-        assert select_core(sim.runs[3], 2 * MS, {1}, sim.cores, 0.4) is None
+        sim.realloc_candidates = {1}
+        sim._reallocate(sim.runs[3], 2 * MS)
+        assert sim.ledger.realloc_count == 0
+        assert sim.realloc_candidates == {1}
+
+
+class TestUponTaskRelease:
+    def test_reaches_threshold_at_boundary(self):
+        # core 1 at t = 2 ms: dt 1.5 ms plus task 3's 0.2 ms at scale 0.4
+        assert upon_task_release(1.5 * MS, 0.2 * MS, 0.4, 2.0 * MS)
+
+    def test_below_threshold(self):
+        assert not upon_task_release(1.4 * MS, 0.2 * MS, 0.4, 2.0 * MS)
+
+    def test_negative_gap(self):
+        # a backlog longer than the gap still counts the freed time
+        assert upon_task_release(-0.5 * MS, 1.0 * MS, 0.4, 2.0 * MS)
 
 
 class TestPolicySpeed:
@@ -149,23 +170,6 @@ class TestCandidateSetEvolution:
         # core 1 shifted successfully and then slept
         assert sim.realloc_candidates == {0}
 
-    def test_literal_bonus_blocks_the_shift(self, params, motivational_tasks,
-                                            motivational_assignment):
-        # with the unscaled bonus 1.5 + 0.2 < 2 never triggers the search
-        opts = ReallocOptions(bonus="literal")
-        cfg = motivational_config(params, PolicyKind.LA_REALLOC, realloc=opts)
-        ledger, _ = run(cfg, motivational_tasks, motivational_assignment)
-        assert ledger.realloc_count == 0
-
-    def test_literal_bonus_matches_plain_policy(self, params, motivational_tasks,
-                                                motivational_assignment):
-        opts = ReallocOptions(bonus="literal")
-        led_a, _ = run(motivational_config(params, PolicyKind.LA_REALLOC, realloc=opts),
-                       motivational_tasks, motivational_assignment)
-        led_b, _ = run(motivational_config(params, PolicyKind.LA_DVS),
-                       motivational_tasks, motivational_assignment)
-        assert led_a.total_j == led_b.total_j
-
 
 class TestCommitInvariants:
     @pytest.mark.parametrize("seed", range(10))
@@ -178,19 +182,13 @@ class TestCommitInvariants:
         asg = ltf_partition(ts, 2)
         cfg = SimConfig(params=params, cores=2, duration_ms=1000.0,
                         policy=PolicyKind.LA_REALLOC, seed=seed,
-                        derived=derived, power_table=power_table)
+                        power_table=power_table)
         ledger, _ = run(cfg, ts, asg)
         assert ledger.realloc_count == len(ledger.realloc_checks)
         for u_static, u_dyn, _u_src, s_before, s_after in ledger.realloc_checks:
             assert u_static <= 1.0 + 1e-9
             assert u_dyn <= derived.critical_scale + 1e-9
             assert s_after <= s_before + 1e-12
-
-
-class TestOptionsValidation:
-    def test_bad_bonus(self):
-        with pytest.raises(ValueError):
-            ReallocOptions(bonus="wrong")
 
 
 def test_dynamic_utilization_tracks_completion(sim):

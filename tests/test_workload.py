@@ -5,6 +5,7 @@ import pytest
 from coresleep.engine import TaskRun
 from coresleep.policies import task_dynamic_utilization
 from coresleep.workload import (
+    MAX_TASKS,
     NS_PER_MS,
     Job,
     Task,
@@ -114,8 +115,8 @@ class TestGenerator:
         with pytest.raises(WorkloadError):
             generate_task_set(0, 0.5, seed=0)
         with pytest.raises(WorkloadError):
-            generate_task_set(21, 0.5, seed=0)
-        assert len(generate_task_set(25, 0.5, seed=0, max_tasks=25)) == 25
+            generate_task_set(MAX_TASKS + 1, 0.5, seed=0)
+        assert len(generate_task_set(MAX_TASKS, 0.5, seed=0)) == MAX_TASKS
 
     def test_dynamic_never_exceeds_static(self):
         # actual execution is a ratio in (0, 1] of the worst case
