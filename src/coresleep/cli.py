@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .engine import write_trace_csv
@@ -34,8 +35,8 @@ def _sweep_axis(text):
     if not step:
         raise argparse.ArgumentTypeError("expected AXIS=START:STOP:STEP or a bare axis name")
     start, stop, step = float(start), float(stop), float(step)
-    if step <= 0 or stop < start:
-        raise argparse.ArgumentTypeError("need STEP > 0 and STOP >= START")
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
+        raise argparse.ArgumentTypeError("need finite values with STEP > 0 and STOP >= START")
     values = []
     v = start
     while v <= stop + 1e-9:

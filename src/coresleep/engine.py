@@ -12,6 +12,7 @@ timestamps this makes every run bit-reproducible.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -23,6 +24,8 @@ from .workload import NS_PER_MS, Job, TaskSet, draw_actual_ratio
 
 EV_RELEASE, EV_COMPLETE, EV_WAKE = 0, 1, 2
 ACTIVE, SLEEPING = 0, 1
+# Utilization terms and sums are exact integers in units of 2**-62 (any order).
+UTIL_UNIT = 2 ** 62
 
 TRACE_COLUMNS = ("time_ns", "core", "event", "task", "detail")
 
@@ -36,11 +39,16 @@ class TaskRun:
     status of the nearest invocation, and the task's private draw stream for
     actual execution times."""
 
-    __slots__ = ("task", "core", "last_completed_arrival", "last_cc_ns", "next_index", "cc_rng")
+    __slots__ = ("task", "core", "last_completed_arrival", "last_cc_ns", "next_index", "cc_rng",
+                 "full", "term")
 
     def __init__(self, task, core_index, seed):
         self.task = task
         self.core = core_index
+        # full is wcet/P; term (cycle-conserving EDF) is wcet/P while the
+        # current invocation is pending and cc/P once it has finished.
+        self.full = round(task.utilization * UTIL_UNIT)
+        self.term = self.full
         self.last_completed_arrival = -1
         self.last_cc_ns = 0.0
         self.next_index = 1
@@ -51,7 +59,7 @@ class TaskRun:
 
 class Core:
     __slots__ = (
-        "index", "members", "ready", "state", "running", "dyn_util",
+        "index", "members", "ready", "state", "running", "dyn_util", "static_util",
         "sched_speed", "sched_version", "wake_version", "idle_evaluated",
     )
 
@@ -61,7 +69,7 @@ class Core:
         self.ready = []            # released unfinished jobs (running included)
         self.state = ACTIVE
         self.running = None
-        self.dyn_util = 0.0        # cached policies.core_dynamic_utilization
+        self.dyn_util = self.static_util = 0   # members' Σ term and Σ full
         self.sched_speed = -1.0
         self.sched_version = 0
         self.wake_version = 0
@@ -117,10 +125,10 @@ class SimConfig:
     def __post_init__(self):
         if self.cores < 1:
             raise ValueError("need at least one core")
-        if self.duration_ms <= 0:
-            raise ValueError("duration must be positive")
-        if self.e_sw_j < 0:
-            raise ValueError("switching overhead must be nonnegative")
+        if not (math.isfinite(self.duration_ms) and self.duration_ms > 0):
+            raise ValueError("duration must be finite and positive")
+        if not (math.isfinite(self.e_sw_j) and self.e_sw_j >= 0):
+            raise ValueError("switching overhead must be finite and nonnegative")
         if not (0.0 < self.cc_mean_ratio <= 1.0):
             raise ValueError("cc mean ratio must be in (0, 1]")
 
@@ -158,6 +166,7 @@ class Simulator:
             self.cores[run.core].members.append(run)
         for core in self.cores:
             core.members.sort(key=lambda r: r.task.id)
+            core.dyn_util = core.static_util = sum(run.full for run in core.members)
 
         # Candidate set S of the reallocation rule: awake cores whose last
         # shift attempt failed, so they may take in another core's task.
@@ -170,9 +179,7 @@ class Simulator:
         self._heap: list = []
         self._seq = 0
         self._power_cache = (-1.0, 0.0)
-        # Core indices whose cached dynamic utilization must be re-summed,
-        # and those an event of the current batch changed (to dispatch).
-        self._stale = set(range(config.cores))
+        # Core indices an event of the current batch changed (to dispatch).
         self._touched = set()
 
     # -- event plumbing ----------------------------------------------------
@@ -195,27 +202,12 @@ class Simulator:
         self._power_cache = (speed, p)
         return p
 
-    def _mark(self, core: Core):
-        """Record that a core's members or ready queue changed at this event."""
-        self._stale.add(core.index)
-        self._touched.add(core.index)
-
-    def _resum(self, t_ns):
-        # A core's sum changes only when a member is released or completes,
-        # or when a task moves in or out; each of these marks the core stale.
-        # Every other cached sum equals a re-sum at t_ns bit for bit.
-        cores = self.cores
-        for i in self._stale:
-            cores[i].dyn_util = policies.core_dynamic_utilization(cores[i], t_ns)
-        self._stale.clear()
-
     def _speed_of_sums(self):
-        """Global speed the policy sets for the cached per-core sums."""
-        u_max = max(core.dyn_util for core in self.cores)
+        """Global speed the policy sets for the per-core dynamic sums."""
+        u_max = max(core.dyn_util for core in self.cores) / UTIL_UNIT
         return policies.policy_speed(self.cfg.policy, u_max, self.min_scale, self.critical_scale)
 
     def _recompute_speed(self, t_ns):
-        self._resum(t_ns)
         s = self._speed_of_sums()
         if s != self.speed:
             self.speed = s
@@ -250,7 +242,9 @@ class Simulator:
         core = self.cores[run.core]
         core.ready.append(job)
         core.idle_evaluated = False
-        self._mark(core)
+        core.dyn_util += run.full - run.term
+        run.term = run.full
+        self._touched.add(core.index)
         self._trace(t_ns, core.index, "release", task.id, repr(job.cc_ns))
         nxt = t_ns + task.period_ns
         if nxt < self.duration_ns:
@@ -267,9 +261,15 @@ class Simulator:
         run = self.runs[job.task_id]
         run.last_completed_arrival = job.arrival_ns
         run.last_cc_ns = job.cc_ns
+        # A backlogged job finishing after its successor's release leaves the
+        # successor's worst case in the sum.
+        if job.index == run.next_index - 1:
+            term = round(job.cc_ns / run.task.period_ns * UTIL_UNIT)
+            core.dyn_util += term - run.term
+            run.term = term
         if t_ns > job.deadline_ns:
             self.ledger.deadline_miss_count += 1
-        self._mark(core)
+        self._touched.add(core.index)
         self._trace(t_ns, core.index, "complete", job.task_id)
         return True
 
@@ -359,10 +359,9 @@ class Simulator:
         if not backlog:
             dt = policies.compute_dt_ns(home, t_ns, self.critical_scale)
             if policies.upon_task_release(dt, task.wcet_ns, self.critical_scale, self.t_th_ns):
-                self._resum(t_ns)
                 cores = self.cores
                 options = [
-                    (cores[i].dyn_util, i, policies.core_static_utilization(cores[i]))
+                    (cores[i].dyn_util / UTIL_UNIT, i, cores[i].static_util / UTIL_UNIT)
                     for i in self.realloc_candidates if i != home.index
                 ]
                 dest = policies.select_core(task.utilization, options, self.critical_scale)
@@ -373,9 +372,8 @@ class Simulator:
             self._commit(run, home, self.cores[dest], t_ns)
 
     def _commit(self, run: TaskRun, src: Core, dest: Core, t_ns):
-        # The speed this instant gives without the move (the sums are fresh
-        # from the destination search); other releases at t_ns may already
-        # have raised it above self.speed.
+        # The speed this instant gives without the move; other releases at
+        # t_ns may already have raised it above self.speed.
         speed_before = self._speed_of_sums()
         moved = None
         for job in src.ready:
@@ -397,16 +395,19 @@ class Simulator:
         dest.ready.append(moved)
         dest.idle_evaluated = False
         run.core = dest.index
-        self._mark(src)
-        self._mark(dest)
+        src.dyn_util -= run.term
+        dest.dyn_util += run.term
+        src.static_util -= run.full
+        dest.static_util += run.full
+        self._touched.update((src.index, dest.index))
         self.ledger.realloc_count += 1
         self._trace(t_ns, dest.index, "realloc", run.task.id, f"from={src.index}")
 
-        # The selection rules guarantee these; check at every commit.
+        # The selection rules guarantee these; check each commit (u_static re-summed).
         u_static = policies.core_static_utilization(dest)
         self._recompute_speed(t_ns)
-        u_dyn = dest.dyn_util
-        u_dyn_src = src.dyn_util
+        u_dyn = dest.dyn_util / UTIL_UNIT
+        u_dyn_src = src.dyn_util / UTIL_UNIT
         if u_dyn > self.critical_scale + 1e-9:
             raise EngineError("reallocation pushed dynamic utilization past the critical scale")
         if u_static > 1.0 + 1e-9:

@@ -10,6 +10,7 @@ leakage-aware DVS policy.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from multiprocessing import Pool
@@ -42,9 +43,9 @@ class SweepError(ValueError):
 def _check_axis_value(axis, value):
     if axis == "U" and not (0.0 < value <= 1.0):
         raise SweepError(f"U value {value} outside (0, 1]")
-    if axis == "E_sw" and value < 0:
-        raise SweepError(f"E_sw value {value} negative")
-    if axis == "m" and (int(value) != value or value < 1):
+    if axis == "E_sw" and not (math.isfinite(value) and value >= 0):
+        raise SweepError(f"E_sw value {value} not a finite nonnegative number")
+    if axis == "m" and not (math.isfinite(value) and value >= 1 and int(value) == value):
         raise SweepError(f"core count {value} not a positive integer")
     if axis == "cc_ratio" and not (0.0 < value <= 1.0):
         raise SweepError(f"cc ratio {value} outside (0, 1]")
@@ -57,8 +58,8 @@ def _check_run_parameters(u, e_sw_j, m, cc_ratio, n_range, period_range_ms, dura
         _check_axis_value(axis, value)
     check_task_range(n_range)
     check_period_range(period_range_ms)
-    if duration_ms <= 0:
-        raise SweepError(f"duration {duration_ms!r} ms is not positive")
+    if not (math.isfinite(duration_ms) and duration_ms > 0):
+        raise SweepError(f"duration {duration_ms!r} ms is not a finite positive number")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 
 
@@ -58,6 +58,9 @@ class PowerParams:
     vdd_max: float
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise PowerModelError(f"{f.name} must be finite")
         for name in ("c_eff", "l_d", "k6", "epsilon"):
             if getattr(self, name) <= 0:
                 raise PowerModelError(f"{name} must be positive")

@@ -8,6 +8,7 @@ and actual execution time at maximum speed) are float nanoseconds.
 from __future__ import annotations
 
 import csv
+import math
 import random
 from dataclasses import dataclass
 
@@ -113,8 +114,8 @@ def uunifast(n: int, u_target: float, rng: random.Random) -> list[float]:
 
 def check_period_range(period_range_ms: tuple[float, float]) -> None:
     lo_ms, hi_ms = period_range_ms
-    if not (0 < lo_ms <= hi_ms):
-        raise WorkloadError(f"period range {lo_ms!r}:{hi_ms!r} needs 0 < MIN <= MAX")
+    if not (0 < lo_ms <= hi_ms and math.isfinite(hi_ms)):
+        raise WorkloadError(f"period range {lo_ms!r}:{hi_ms!r} needs 0 < MIN <= MAX, both finite")
 
 
 def check_task_range(n_range: tuple[int, int]) -> None:

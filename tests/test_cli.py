@@ -97,16 +97,47 @@ def test_bad_axis_fails(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args", [
-    ["--sweep", "U=0.1:0.2:0.1", "--cores", "0"],
-    ["--sweep", "m=2:4:2", "--util", "0"],
+    ["sweep", "--sweep", "U=0.1:0.2:0.1", "--cores", "0"],
+    ["sweep", "--sweep", "m=2:4:2", "--util", "0"],
+    ["sweep", "--sweep", "U=0.3:0.3:0.1", "--esw", "nan"],
+    ["sweep", "--sweep", "U=0.3:0.3:0.1", "--duration", "inf"],
+    ["sweep", "--sweep", "E_sw=0.0:0.0:0.1", "--periods", "10:inf"],
+    ["simulate", "--esw", "nan"],
+    ["simulate", "--esw", "inf"],
+    ["simulate", "--duration", "inf"],
+    ["simulate", "--periods", "10:inf"],
 ])
 def test_bad_fixed_parameter_fails(tmp_path, capsys, args):
     out = tmp_path / "x.csv"
-    code = main(["sweep", *args, "--runs", "1", "--out", str(out)])
+    if args[0] == "sweep":
+        code = main([*args, "--runs", "1", "--out", str(out)])
+    else:
+        code = main([*args, "--trace", str(out)])
     err = capsys.readouterr().err
     assert code == 1
-    assert "error:" in err
+    assert err.startswith("error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("constant", ["c_eff = nan", "k3 = inf"])
+def test_non_finite_constant_fails(tmp_path, capsys, constant):
+    name = constant.split()[0]
+    ref = resources.files("coresleep").joinpath("data/cmos70nm.conf")
+    lines = ref.read_text(encoding="utf-8").splitlines()
+    path = tmp_path / "bad.conf"
+    path.write_text("\n".join(constant if ln.startswith(name + " ") else ln for ln in lines))
+    code = main(["simulate", "--constants", str(path), "--duration", "100"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err == f"error: {name} must be finite\n" and out == ""
+
+
+@pytest.mark.parametrize("grid", ["U=0.1:inf:0.1", "m=2:inf:2", "U=0.1:0.5:nan"])
+def test_non_finite_grid_rejected(tmp_path, capsys, grid):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--sweep", grid, "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "need finite values" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args, word", [

@@ -11,6 +11,22 @@ comparing against the speed of the same instant without the move instead
 of the speed before that instant's releases.  Its trace and energies are
 unchanged; only the speed-before field of realloc record 58 moved, from
 0.4005401979134871 to 0.44105921471496695.
+
+Re-recorded: (PURE_DVS, 2), (LA_REALLOC, 2), (LA_REALLOC, 8) and the sweep,
+when per-core utilization became an exact integer sum in units of 2**-62
+instead of a float sum in member order.  Each speed is now the correctly
+rounded maximum sum, so speeds and utilizations moved by a few ulps.  Every
+trace row's time, core, event and task is unchanged, and so are the wake,
+failed-sleep, miss and reallocation counts.  Largest drift measured: speed
+values 2.8e-16 relative (speed-change rows only); ledger energies of these
+runs unchanged; the dynamic-utilization fields of realloc_checks 3.4e-16,
+except one source-core sum of 3.0e-6 that moved by 5.8e-15 relative (1.7e-20
+absolute, below the 2**-62 resolution of a term); one sweep energy 1.4e-16.
+The other three run digests did not move.
+
+To re-record after a deliberate numerics change, print the digests of the
+current code with ``PYTHONPATH=src python tests/test_golden.py`` and copy only
+the entries that moved.
 """
 
 import hashlib
@@ -24,23 +40,23 @@ from coresleep.policies import PolicyKind
 # run_single(policy, m=m, seed=5, duration_ms=2000.0, collect_trace=True).
 RUN_DIGESTS = {
     (PolicyKind.PURE_DVS, 2):
-        "7d359c1eb62bd1de0b536ca01c14b021859186ba7c4e14a71f609ff9d2e314b7",
+        "3ee7a77607b1fb5b6bcea5466bf5d12605d9a2ad2cf614dc18a52a7e4a6dca2a",
     (PolicyKind.LA_DVS, 2):
         "1d0947386361efeaa462175463fad24463da967b40b067b7a3799819c83813d0",
     (PolicyKind.LA_REALLOC, 2):
-        "74d0d8bb4e06c500ef842a910370fd05caeb534e6243d348e87ba5c6aa3a5832",
+        "660ee893111f16a7d0fd4a5f8bef99f5624c29e056b013629c928344626490af",
     (PolicyKind.PURE_DVS, 8):
         "546ad107c27385bf9a1ec12bbaf43eb7eb34e5ac9ff8247950a6e43a21289436",
     (PolicyKind.LA_DVS, 8):
         "f5d441edcd1fa9f212764158d4dede0c9ac5e2e6fc58255616f6f0a7908fa5a4",
     (PolicyKind.LA_REALLOC, 8):
-        "8b47b7f9961754de2e5af13d4adc7fdb294d709d630a0fe1f4635c3de8f3bb16",
+        "fe953fc3a28e3c0e1aff518dac31ce202f0a0bfbb60877a718a3c186531f85f7",
 }
 
 # sha256 of the data rows (header included, provenance comments excluded)
 # of the CSV written for SWEEP_SPEC.
 SWEEP_SPEC = dict(axis="U", values=(0.1, 0.5, 0.9), repetitions=2, duration_ms=500.0)
-SWEEP_DIGEST = "5c0f5e6c09004aab5cd72486e0cd2178ef6df313fe0c006b7fe1a4b2f2e1f010"
+SWEEP_DIGEST = "78519405765d6fd579281f0f3ebfbaa7a7a44c87a67e60902290d2e438134d76"
 
 
 def run_digest(params, policy, m):
@@ -73,3 +89,20 @@ def test_run_single_trace_and_ledger_unchanged(params, policy, m):
 
 def test_sweep_csv_rows_unchanged(params, tmp_path):
     assert sweep_digest(params, tmp_path / "golden.csv") == SWEEP_DIGEST
+
+
+if __name__ == "__main__":
+    # Print the digests of the current code, in the layout above, for a
+    # deliberate re-record: PYTHONPATH=src python tests/test_golden.py
+    import tempfile
+    from pathlib import Path
+
+    from coresleep.power import default_power_params
+
+    params = default_power_params()
+    print("RUN_DIGESTS = {")
+    for policy, m in RUN_DIGESTS:
+        print(f"    (PolicyKind.{policy.name}, {m}):\n        \"{run_digest(params, policy, m)}\",")
+    print("}")
+    with tempfile.TemporaryDirectory() as tmp:
+        print(f'SWEEP_DIGEST = "{sweep_digest(params, Path(tmp) / "golden.csv")}"')

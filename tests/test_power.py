@@ -56,6 +56,14 @@ class TestConstantsFile:
         with pytest.raises(PowerModelError, match="bad value"):
             load_power_params(path)
 
+    @pytest.mark.parametrize("name, text", [("c_eff", "nan"), ("k3", "inf"), ("vdd_min", "-inf")])
+    def test_non_finite_value(self, tmp_path, params, name, text):
+        fields = {**dataclasses.asdict(params), name: text}
+        path = tmp_path / "bad.conf"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in fields.items()))
+        with pytest.raises(PowerModelError, match=f"{name} must be finite"):
+            load_power_params(path)
+
     def test_duplicate_key(self, tmp_path):
         path = tmp_path / "bad.conf"
         path.write_text("c_eff = 1e-10\nc_eff = 2e-10\n")
