@@ -59,13 +59,14 @@ class TaskRun:
 
 class Core:
     __slots__ = (
-        "index", "members", "ready", "state", "running", "dyn_util", "static_util",
+        "index", "members", "nexts", "ready", "state", "running", "dyn_util", "static_util",
         "sched_speed", "sched_version", "wake_version", "idle_evaluated",
     )
 
     def __init__(self, index):
         self.index = index
         self.members = []          # TaskRun list, sorted by task id
+        self.nexts = []            # heap of the members' next release instants
         self.ready = []            # released unfinished jobs (running included)
         self.state = ACTIVE
         self.running = None
@@ -125,12 +126,18 @@ class SimConfig:
     def __post_init__(self):
         if self.cores < 1:
             raise ValueError("need at least one core")
-        if not (math.isfinite(self.duration_ms) and self.duration_ms > 0):
-            raise ValueError("duration must be finite and positive")
+        if not (math.isfinite(self.duration_ms) and round(self.duration_ms * NS_PER_MS) >= 1):
+            raise ValueError("duration must be finite and at least 1 ns")
         if not (math.isfinite(self.e_sw_j) and self.e_sw_j >= 0):
             raise ValueError("switching overhead must be finite and nonnegative")
         if not (0.0 < self.cc_mean_ratio <= 1.0):
             raise ValueError("cc mean ratio must be in (0, 1]")
+        scale = self.critical_scale_override
+        if scale is not None and not (0.0 < scale <= 1.0):
+            raise ValueError("critical scale override must be in (0, 1]")
+        t_th = self.t_th_ms_override
+        if t_th is not None and not (math.isfinite(t_th) and t_th >= 0):
+            raise ValueError("sleep threshold override must be finite and nonnegative")
 
 
 def edf_pick(jobs):
@@ -166,7 +173,10 @@ class Simulator:
             self.cores[run.core].members.append(run)
         for core in self.cores:
             core.members.sort(key=lambda r: r.task.id)
+            core.nexts = [0] * len(core.members)
             core.dyn_util = core.static_util = sum(run.full for run in core.members)
+        # Largest dynamic sum over the cores, kept by _add_dyn_util.
+        self.max_util = max(core.dyn_util for core in self.cores)
 
         # Candidate set S of the reallocation rule: awake cores whose last
         # shift attempt failed, so they may take in another core's task.
@@ -179,6 +189,7 @@ class Simulator:
         self._heap: list = []
         self._seq = 0
         self._power_cache = (-1.0, 0.0)
+        self._speed_cache = (-1, 0.0)   # (max_util, the policy's speed for it)
         # Core indices an event of the current batch changed (to dispatch).
         self._touched = set()
 
@@ -202,16 +213,34 @@ class Simulator:
         self._power_cache = (speed, p)
         return p
 
+    def _add_dyn_util(self, core: Core, delta):
+        """Change a core's dynamic sum, keeping ``max_util`` the largest sum:
+        a rise compares against it, a drop of a core that held it rescans."""
+        old = core.dyn_util
+        core.dyn_util = new = old + delta
+        if new > self.max_util:
+            self.max_util = new
+        elif new < old == self.max_util:
+            self.max_util = max(c.dyn_util for c in self.cores)
+
     def _speed_of_sums(self):
-        """Global speed the policy sets for the per-core dynamic sums."""
-        u_max = max(core.dyn_util for core in self.cores) / UTIL_UNIT
-        return policies.policy_speed(self.cfg.policy, u_max, self.min_scale, self.critical_scale)
+        """Global speed the policy sets for the per-core dynamic sums.  It is
+        a function of the largest sum alone, so it is re-derived only when
+        that sum moved."""
+        u_max, s = self._speed_cache
+        if u_max != self.max_util:
+            u_max = self.max_util
+            s = policies.policy_speed(self.cfg.policy, u_max / UTIL_UNIT, self.min_scale,
+                                      self.critical_scale)
+            self._speed_cache = (u_max, s)
+        return s
 
     def _recompute_speed(self, t_ns):
         s = self._speed_of_sums()
         if s != self.speed:
             self.speed = s
-            self._trace(t_ns, None, "speed_change", None, repr(s))
+            if self.trace is not None:
+                self.trace.append((t_ns, None, "speed_change", None, repr(s)))
 
     def _accrue(self, t0_ns, t1_ns):
         dt = t1_ns - t0_ns
@@ -242,11 +271,14 @@ class Simulator:
         core = self.cores[run.core]
         core.ready.append(job)
         core.idle_evaluated = False
-        core.dyn_util += run.full - run.term
+        self._add_dyn_util(core, run.full - run.term)
         run.term = run.full
         self._touched.add(core.index)
-        self._trace(t_ns, core.index, "release", task.id, repr(job.cc_ns))
+        if self.trace is not None:
+            self.trace.append((t_ns, core.index, "release", task.id, repr(job.cc_ns)))
+        # This release is the core's earliest pending one: its top is t_ns.
         nxt = t_ns + task.period_ns
+        heapq.heapreplace(core.nexts, nxt)
         if nxt < self.duration_ns:
             self._push(nxt, EV_RELEASE, task.id, run)
 
@@ -265,7 +297,7 @@ class Simulator:
         # successor's worst case in the sum.
         if job.index == run.next_index - 1:
             term = round(job.cc_ns / run.task.period_ns * UTIL_UNIT)
-            core.dyn_util += term - run.term
+            self._add_dyn_util(core, term - run.term)
             run.term = term
         if t_ns > job.deadline_ns:
             self.ledger.deadline_miss_count += 1
@@ -287,7 +319,7 @@ class Simulator:
         else:
             # The job this wake was scheduled for moved to another core;
             # stay asleep until the queue's next release, at no cost.
-            nxt = policies.core_next_release_ns(core, t_ns)
+            nxt = core.nexts[0] if core.nexts else None
             core.wake_version += 1
             if nxt is not None and nxt < self.duration_ns:
                 self._push(nxt, EV_WAKE, core.index, core.wake_version)
@@ -308,7 +340,7 @@ class Simulator:
         """Sleep decision for a core with no ready work: sleep through the
         gap to its next release when the gap reaches the threshold, else stay
         active-idle at the global speed and record the failed sleep."""
-        nxt = policies.core_next_release_ns(core, t_ns)
+        nxt = core.nexts[0] if core.nexts else None
         if nxt is None or nxt - t_ns >= self.t_th_ns:
             self._sleep(core, t_ns, nxt)
         else:
@@ -357,7 +389,8 @@ class Simulator:
             job.task_id == task.id and job.arrival_ns < t_ns for job in home.ready
         )
         if not backlog:
-            dt = policies.compute_dt_ns(home, t_ns, self.critical_scale)
+            dt = policies.compute_dt_ns(home.nexts[0] - t_ns, policies.compute_load_ns(home, t_ns),
+                                        self.critical_scale)
             if policies.upon_task_release(dt, task.wcet_ns, self.critical_scale, self.t_th_ns):
                 cores = self.cores
                 options = [
@@ -395,8 +428,13 @@ class Simulator:
         dest.ready.append(moved)
         dest.idle_evaluated = False
         run.core = dest.index
-        src.dyn_util -= run.term
-        dest.dyn_util += run.term
+        # The task was released at t_ns, so its next release is t_ns + P.
+        nxt = t_ns + run.task.period_ns
+        src.nexts.remove(nxt)
+        heapq.heapify(src.nexts)
+        heapq.heappush(dest.nexts, nxt)
+        self._add_dyn_util(src, -run.term)
+        self._add_dyn_util(dest, run.term)
         src.static_util -= run.full
         dest.static_util += run.full
         self._touched.update((src.index, dest.index))
@@ -431,35 +469,32 @@ class Simulator:
         is_realloc = self.cfg.policy is PolicyKind.LA_REALLOC
         cores = self.cores
         touched = self._touched
+        heappop = heapq.heappop
         t_now = 0
         while heap and heap[0][0] < duration:
             t = heap[0][0]
             self._accrue(t_now, t)
             t_now = t
             speed_before = self.speed
-            batch = []
+            # Heap order gives releases, then completions, then wakes; none
+            # of them pushes an event at t, so each pops straight from it.
+            if heap[0][1] == EV_RELEASE:
+                released = []
+                while heap and heap[0][0] == t and heap[0][1] == EV_RELEASE:
+                    run = heappop(heap)[4]
+                    self._release(run, t)
+                    released.append(run)
+                for run in released:
+                    if is_realloc:
+                        self._reallocate(run, t)
+                    self._recompute_speed(t)
             while heap and heap[0][0] == t:
-                batch.append(heapq.heappop(heap))
-            # Heap order already gives releases, then completions, then wakes.
-            released = []
-            later = []
-            for item in batch:
-                if item[1] == EV_RELEASE:
-                    self._release(item[4], t)
-                    released.append(item[4])
-                else:
-                    later.append(item)
-            for run in released:
-                if is_realloc:
-                    self._reallocate(run, t)
-                self._recompute_speed(t)
-            for item in later:
-                kind = item[1]
+                _t, kind, core_index, _seq, version = heappop(heap)
                 if kind == EV_COMPLETE:
-                    if self._complete(self.cores[item[2]], item[4], t):
+                    if self._complete(cores[core_index], version, t):
                         self._recompute_speed(t)
                 else:
-                    self._wake(self.cores[item[2]], item[4], t)
+                    self._wake(cores[core_index], version, t)
             # Any other core is asleep, idle and already evaluated, or running
             # its EDF pick at the current speed: dispatching it is a no-op.
             if self.speed != speed_before:

@@ -19,7 +19,9 @@ from . import engine
 from .partition import PartitionError, ltf_partition
 from .policies import PolicyKind
 from .power import PowerParams, PowerTable, default_power_params, derive_speeds
-from .workload import WorkloadError, check_period_range, check_task_range, generate_task_set
+from .workload import (
+    NS_PER_MS, WorkloadError, check_period_range, check_task_range, generate_task_set,
+)
 
 AXES = ("U", "E_sw", "m", "cc_ratio")
 POLICY_ORDER = (PolicyKind.PURE_DVS, PolicyKind.LA_DVS, PolicyKind.LA_REALLOC)
@@ -58,8 +60,8 @@ def _check_run_parameters(u, e_sw_j, m, cc_ratio, n_range, period_range_ms, dura
         _check_axis_value(axis, value)
     check_task_range(n_range)
     check_period_range(period_range_ms)
-    if not (math.isfinite(duration_ms) and duration_ms > 0):
-        raise SweepError(f"duration {duration_ms!r} ms is not a finite positive number")
+    if not (math.isfinite(duration_ms) and round(duration_ms * NS_PER_MS) >= 1):
+        raise SweepError(f"duration {duration_ms!r} ms is not finite or rounds below 1 ns")
 
 
 @dataclass(frozen=True)

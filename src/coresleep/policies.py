@@ -6,15 +6,16 @@ reallocation at job release.  The reallocation rules decide, each time a job
 arrives, whether shifting its task to another awake core would open up an
 idle interval long enough to put the home core to sleep, and where to.
 
-Functions here read core and task-run state but keep none; the engine owns
-the candidate-core set ``S`` and commits the shifts.
+The idle interval, the gate, the destination choice and the speed are
+functions of numbers; the utilization and load helpers read a core's
+task-run state but keep none.
+The engine owns the candidate-core set ``S``, each core's next release and
+its utilization sums, and commits the shifts.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-
-from .workload import next_release
 
 # Slack for utilization-threshold comparisons; keeps exact-boundary cases
 # (for example dynamic utilization landing exactly on the critical scale)
@@ -64,19 +65,12 @@ def compute_load_ns(core, t_ns: int) -> float:
     return total
 
 
-def core_next_release_ns(core, t_ns: int) -> int | None:
-    """First release on a core strictly after t, or None for an empty core."""
-    if not core.members:
-        return None
-    return min(next_release(run.task, t_ns) for run in core.members)
-
-
-def compute_dt_ns(core, t_ns: int, critical_scale: float) -> float:
-    """Minimum idle interval ahead of a core if nothing is shifted: time to
-    the next release on the core minus the time to drain its pending work at
-    the critical speed.  May be negative when the backlog exceeds the gap."""
-    gap = core_next_release_ns(core, t_ns) - t_ns
-    return gap - compute_load_ns(core, t_ns) / critical_scale
+def compute_dt_ns(gap_ns: int, load_ns: float, critical_scale: float) -> float:
+    """Minimum idle interval ahead of a core if nothing is shifted: the time
+    ``gap_ns`` to the next release on the core minus the time to drain its
+    pending work ``load_ns`` at the critical speed.  May be negative when the
+    backlog exceeds the gap."""
+    return gap_ns - load_ns / critical_scale
 
 
 def select_core(u_i: float, options, critical_scale: float):

@@ -8,7 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from coresleep.engine import SimConfig
 from coresleep.partition import ltf_partition
 from coresleep.power import PowerTable, default_power_params, derive_speeds
-from coresleep.workload import TaskSet, task_from_ms
+from coresleep.workload import TaskSet, next_release, task_from_ms
 
 
 @pytest.fixture(scope="session")
@@ -57,3 +57,11 @@ def motivational_config(params, policy, duration_ms=16.0, collect_trace=True):
         t_th_ms_override=2.0,
         collect_trace=collect_trace,
     )
+
+
+def core_next_release_ns(core, t_ns):
+    """Reference for the engine's next-release heap: the first release on a
+    core strictly after t, rescanned from its members, or None when empty."""
+    if not core.members:
+        return None
+    return min(next_release(run.task, t_ns) for run in core.members)

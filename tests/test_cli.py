@@ -106,6 +106,7 @@ def test_bad_axis_fails(tmp_path, capsys):
     ["simulate", "--esw", "inf"],
     ["simulate", "--duration", "inf"],
     ["simulate", "--periods", "10:inf"],
+    ["simulate", "--duration", "1e-7"],
 ])
 def test_bad_fixed_parameter_fails(tmp_path, capsys, args):
     out = tmp_path / "x.csv"
@@ -145,6 +146,7 @@ def test_non_finite_grid_rejected(tmp_path, capsys, grid):
     (["--workers", "-1"], "worker"),
     (["--periods", "100:10"], "period range"),
     (["--duration", "0"], "duration"),
+    (["--duration", "1e-7"], "rounds below 1 ns"),
 ])
 def test_bad_sweep_input_fails(tmp_path, capsys, args, word):
     out = tmp_path / "x.csv"

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import motivational_config
+from conftest import core_next_release_ns, motivational_config
 from dense_oracle import integrate_trace_energy
 
 from coresleep import policies
@@ -299,6 +299,19 @@ class TestConfigValidation:
                 SimConfig(params=params, e_sw_j=bad)
         with pytest.raises(ValueError):
             SimConfig(params=params, cc_mean_ratio=0.0)
+        # a horizon that rounds to 0 ns
+        with pytest.raises(ValueError):
+            SimConfig(params=params, duration_ms=1e-7)
+        for bad in (0.0, -1.0, 1.5, float("nan")):
+            with pytest.raises(ValueError):
+                SimConfig(params=params, critical_scale_override=bad)
+        for bad in (-5.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                SimConfig(params=params, t_th_ms_override=bad)
+
+    def test_boundary_values_accepted(self, params):
+        SimConfig(params=params, duration_ms=1e-6, critical_scale_override=1.0,
+                  t_th_ms_override=0.0)
 
     def test_core_count_must_match_assignment(self, params, motivational_tasks,
                                               motivational_assignment):
@@ -339,11 +352,16 @@ def check_core_sums(core, t_ns):
         assert abs(exact / UTIL_UNIT - ref) <= SUM_REL_BOUND * ref + SUM_ABS_BOUND, where
 
 
+def check_max_util(sim, t_ns):
+    assert sim.max_util == max(core.dyn_util for core in sim.cores), t_ns
+
+
 class CheckedSimulator(Simulator):
     """Checks the engine's incremental state against a full rescan: every
-    core's utilization sums after each speed recompute, every option handed
-    to ``select_core``, and between event batches that no core would act if
-    it were dispatched."""
+    core's utilization sums and the tracked largest sum after each speed
+    recompute, every option handed to ``select_core``, and between event
+    batches the largest sum, each core's next release and that no core would
+    act if it were dispatched."""
 
     selects = 0
 
@@ -351,6 +369,7 @@ class CheckedSimulator(Simulator):
         super()._recompute_speed(t_ns)
         for core in self.cores:
             check_core_sums(core, t_ns)
+        check_max_util(self, t_ns)
 
     def _reallocate(self, run, t_ns):
         select_core = policies.select_core
@@ -371,9 +390,12 @@ class CheckedSimulator(Simulator):
             policies.select_core = select_core
 
     def _accrue(self, t0_ns, t1_ns):
-        if t1_ns > 0:  # the first batch, at t = 0, has not dispatched yet
+        if t1_ns > 0:  # the first batch, at t = 0, has not run yet
+            check_max_util(self, t0_ns)
             for core in self.cores:
                 assert at_dispatch_fixed_point(self, core), (t0_ns, core.index)
+                top = core.nexts[0] if core.nexts else None
+                assert top == core_next_release_ns(core, t0_ns), (t0_ns, core.index)
         super()._accrue(t0_ns, t1_ns)
 
 

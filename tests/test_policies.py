@@ -1,19 +1,20 @@
 import pytest
 
-from conftest import motivational_config
+from conftest import core_next_release_ns, motivational_config
 
+from coresleep import policies
 from coresleep.engine import Simulator, run
 from coresleep.policies import (
     PolicyKind,
     compute_dt_ns,
     compute_load_ns,
     core_dynamic_utilization,
-    core_next_release_ns,
     policy_speed,
     select_core,
     upon_task_release,
 )
-from coresleep.workload import NS_PER_MS
+from coresleep.partition import ltf_partition
+from coresleep.workload import NS_PER_MS, TaskSet
 
 MS = NS_PER_MS
 
@@ -37,6 +38,30 @@ def to_state_after_first_cycle(sim):
     return sim
 
 
+def release_all(sim, t_ns, task_ids):
+    for task_id in task_ids:
+        sim._release(sim.runs[task_id], t_ns)
+
+
+def to_engine_state_after_first_cycle(sim, releases_at_2ms=True):
+    """to_state_after_first_cycle reached through the engine's releases, so
+    its next-release heaps hold the state too: with the 2 ms releases both
+    cores' tops are 4 ms, without them core 1's top is task 3 at 2 ms."""
+    release_all(sim, 0, (1, 2, 3))
+    for core in sim.cores:
+        core.ready.clear()  # the first invocations finished
+    to_state_after_first_cycle(sim)
+    if releases_at_2ms:
+        release_all(sim, 2 * MS, (1, 3))
+    return sim
+
+
+def engine_dt_ns(sim, core, t_ns):
+    """dt as the engine takes it: the gap from the core's heap top."""
+    gap = core.nexts[0] - t_ns
+    return compute_dt_ns(gap, compute_load_ns(core, t_ns), sim.critical_scale)
+
+
 class TestComputeLoad:
     def test_all_arrived_at_start(self, sim):
         # both tasks on core 1 have pending first invocations at t = 0
@@ -55,37 +80,46 @@ class TestComputeLoad:
 
 class TestComputeDt:
     def test_drained_core_with_fresh_release(self, sim):
-        to_state_after_first_cycle(sim)
+        to_engine_state_after_first_cycle(sim)
         # core 1 at t = 2: next release 4 ms, pending work 0.2 at scale 0.4
-        dt = compute_dt_ns(sim.cores[1], 2 * MS, sim.critical_scale)
-        assert dt == pytest.approx(1.5 * MS)
+        assert engine_dt_ns(sim, sim.cores[1], 2 * MS) == pytest.approx(1.5 * MS)
 
     def test_loaded_core(self, sim):
-        to_state_after_first_cycle(sim)
-        # core 0 at t = 2: task 1 pending again, 0.6 at scale 0.4
-        dt = compute_dt_ns(sim.cores[0], 2 * MS, sim.critical_scale)
-        assert dt == pytest.approx(0.5 * MS)
+        to_engine_state_after_first_cycle(sim)
+        # core 0 at t = 2: next release 4 ms, task 1 pending again, 0.6 at scale 0.4
+        assert engine_dt_ns(sim, sim.cores[0], 2 * MS) == pytest.approx(0.5 * MS)
 
     def test_zero_load_gives_full_gap(self, sim):
-        to_state_after_first_cycle(sim)
+        to_engine_state_after_first_cycle(sim, releases_at_2ms=False)
         # nothing pending just before the 2 ms releases: dt is the time to
         # the earliest next release on the core (task 3 at 2 ms)
         assert compute_load_ns(sim.cores[1], 2 * MS - 1) == 0.0
-        assert compute_dt_ns(sim.cores[1], 2 * MS - 1, sim.critical_scale) == 1.0
+        assert engine_dt_ns(sim, sim.cores[1], 2 * MS - 1) == 1.0
 
 
 class TestCoreNextRelease:
-    def test_empty_core(self, sim):
-        sim.cores[1].members.clear()
+    """The engine's per-core heap of next releases, read at its top, against
+    the rescan of the members."""
+
+    def test_empty_core(self, params, motivational_tasks):
+        # one task on two cores leaves core 1 without members
+        tasks = TaskSet(tasks=motivational_tasks.tasks[:1])
+        sim = Simulator(motivational_config(params, PolicyKind.LA_DVS), tasks,
+                        ltf_partition(tasks, 2))
+        assert sim.cores[1].nexts == []
         assert core_next_release_ns(sim.cores[1], 0) is None
 
     def test_minimum_over_members(self, sim):
         # core 1 holds task 2 (next release 4 ms) and task 3 (2 ms)
-        assert core_next_release_ns(sim.cores[1], MS) == 2 * MS
+        release_all(sim, 0, (1, 2, 3))
+        assert sim.cores[1].nexts[0] == core_next_release_ns(sim.cores[1], MS) == 2 * MS
 
     def test_release_instant_gives_next_period(self, sim):
-        assert core_next_release_ns(sim.cores[0], 2 * MS) == 4 * MS
-        assert core_next_release_ns(sim.cores[1], 4 * MS) == 6 * MS
+        release_all(sim, 0, (1, 2, 3))
+        release_all(sim, 2 * MS, (1, 3))
+        assert sim.cores[0].nexts[0] == core_next_release_ns(sim.cores[0], 2 * MS) == 4 * MS
+        release_all(sim, 4 * MS, (2, 3))
+        assert sim.cores[1].nexts[0] == core_next_release_ns(sim.cores[1], 4 * MS) == 6 * MS
 
 
 class TestSelectCore:
@@ -113,12 +147,21 @@ class TestSelectCore:
         options = [(0.2, 3, 0.2), (0.25, 0, 0.1), (0.2, 1, 0.5)]
         assert select_core(0.1, options, 0.4) == 1
 
-    def test_home_excluded(self, sim):
-        # task 3's home core 1 is the only candidate: the engine offers no
-        # option, so the shift fails and core 1 stays in S
-        to_state_after_first_cycle(sim)
+    def test_home_excluded(self, sim, monkeypatch):
+        # task 3's home core 1 is the only candidate: the gate passes at its
+        # boundary (dt 1.5 ms), the engine offers no option, so the shift
+        # fails and core 1 stays in S
+        to_engine_state_after_first_cycle(sim)
+        offered = []
+
+        def recording(u_i, options, critical_scale):
+            offered.append(list(options))
+            return select_core(u_i, options, critical_scale)
+
+        monkeypatch.setattr(policies, "select_core", recording)
         sim.realloc_candidates = {1}
         sim._reallocate(sim.runs[3], 2 * MS)
+        assert offered == [[]]
         assert sim.ledger.realloc_count == 0
         assert sim.realloc_candidates == {1}
 
