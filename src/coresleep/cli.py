@@ -7,7 +7,7 @@ import math
 import sys
 
 from .engine import write_trace_csv
-from .harness import SweepSpec, emit, run_single, run_sweep
+from .harness import DEFAULT_GRIDS, SweepSpec, emit, run_single, run_sweep
 from .partition import PartitionError
 from .policies import PolicyKind
 from .power import PowerModelError, default_power_params, load_power_params
@@ -25,8 +25,6 @@ def _sweep_axis(text):
     axis, _, grid = text.partition("=")
     if not grid:
         # bare axis name: use the canonical grid for that experiment
-        from .harness import DEFAULT_GRIDS
-
         if axis not in DEFAULT_GRIDS:
             raise argparse.ArgumentTypeError(f"unknown axis {axis!r}")
         return axis, DEFAULT_GRIDS[axis]

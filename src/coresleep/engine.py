@@ -5,8 +5,9 @@ sleep-state management with a break-even threshold, wake-up switching energy,
 and exact piecewise-constant energy integration between events.
 
 Equal-time events are ordered releases before completions before wakes, then
-by task/core id, then by insertion sequence; together with integer-nanosecond
-timestamps this makes every run bit-reproducible.
+by task/core id, then by the core's schedule or wake version, which only rises,
+so in push order; together with integer-nanosecond timestamps this makes every
+run bit-reproducible.
 """
 
 from __future__ import annotations
@@ -187,7 +188,6 @@ class Simulator:
         )
         self.trace = [] if config.collect_trace else None
         self._heap: list = []
-        self._seq = 0
         self._power_cache = (-1.0, 0.0)
         self._speed_cache = (-1, 0.0)   # (max_util, the policy's speed for it)
         # Core indices an event of the current batch changed (to dispatch).
@@ -196,8 +196,7 @@ class Simulator:
     # -- event plumbing ----------------------------------------------------
 
     def _push(self, t_ns, kind, tie, payload):
-        self._seq += 1
-        heapq.heappush(self._heap, (t_ns, kind, tie, self._seq, payload))
+        heapq.heappush(self._heap, (t_ns, kind, tie, payload))
 
     def _trace(self, t_ns, core, event, task=None, detail=""):
         if self.trace is not None:
@@ -382,15 +381,31 @@ class Simulator:
         otherwise."""
         home = self.cores[run.core]
         task = run.task
+        runs = self.runs
+        # One pass over the home queue finds the released job, an older job
+        # of the same task, and the tasks whose latest job is unfinished.
+        moved = None
+        backlog = False
+        pending = []
+        for job in home.ready:
+            if job.task_id == task.id:
+                if job.arrival_ns == t_ns:
+                    moved = job
+                else:
+                    backlog = True
+            if job.index == runs[job.task_id].next_index - 1:
+                pending.append(job.task_id)
+        if moved is None:
+            raise EngineError("reallocated task has no released job")
         dest = None
         # An unfinished older job pins the task: jobs never migrate mid-flight,
         # so the shift is skipped for this release (counts as a failed attempt).
-        backlog = any(
-            job.task_id == task.id and job.arrival_ns < t_ns for job in home.ready
-        )
         if not backlog:
-            dt = policies.compute_dt_ns(home.nexts[0] - t_ns, policies.compute_load_ns(home, t_ns),
-                                        self.critical_scale)
+            # Pending worst cases summed in task-id order, as the members are.
+            load_ns = 0.0
+            for task_id in sorted(pending):
+                load_ns += runs[task_id].task.wcet_ns
+            dt = policies.compute_dt_ns(home.nexts[0] - t_ns, load_ns, self.critical_scale)
             if policies.upon_task_release(dt, task.wcet_ns, self.critical_scale, self.t_th_ns):
                 cores = self.cores
                 options = [
@@ -402,21 +417,12 @@ class Simulator:
             self.realloc_candidates.add(home.index)
         else:
             self.realloc_candidates.discard(home.index)
-            self._commit(run, home, self.cores[dest], t_ns)
+            self._commit(run, moved, home, self.cores[dest], t_ns)
 
-    def _commit(self, run: TaskRun, src: Core, dest: Core, t_ns):
+    def _commit(self, run: TaskRun, moved: Job, src: Core, dest: Core, t_ns):
         # The speed this instant gives without the move; other releases at
         # t_ns may already have raised it above self.speed.
         speed_before = self._speed_of_sums()
-        moved = None
-        for job in src.ready:
-            if job.task_id == run.task.id:
-                if job.arrival_ns != t_ns:
-                    raise EngineError("reallocation with an in-flight older job")
-                moved = job
-                break
-        if moved is None:
-            raise EngineError("reallocated task has no released job")
         src.ready.remove(moved)
         if src.running is moved:
             src.running = None
@@ -442,7 +448,7 @@ class Simulator:
         self._trace(t_ns, dest.index, "realloc", run.task.id, f"from={src.index}")
 
         # The selection rules guarantee these; check each commit (u_static re-summed).
-        u_static = policies.core_static_utilization(dest)
+        u_static = sum(r.task.utilization for r in dest.members)
         self._recompute_speed(t_ns)
         u_dyn = dest.dyn_util / UTIL_UNIT
         u_dyn_src = src.dyn_util / UTIL_UNIT
@@ -473,6 +479,8 @@ class Simulator:
         t_now = 0
         while heap and heap[0][0] < duration:
             t = heap[0][0]
+            if t < t_now:
+                raise EngineError(f"event at {t} after the batch at {t_now}")
             self._accrue(t_now, t)
             t_now = t
             speed_before = self.speed
@@ -481,7 +489,7 @@ class Simulator:
             if heap[0][1] == EV_RELEASE:
                 released = []
                 while heap and heap[0][0] == t and heap[0][1] == EV_RELEASE:
-                    run = heappop(heap)[4]
+                    run = heappop(heap)[3]
                     self._release(run, t)
                     released.append(run)
                 for run in released:
@@ -489,7 +497,7 @@ class Simulator:
                         self._reallocate(run, t)
                     self._recompute_speed(t)
             while heap and heap[0][0] == t:
-                _t, kind, core_index, _seq, version = heappop(heap)
+                _t, kind, core_index, version = heappop(heap)
                 if kind == EV_COMPLETE:
                     if self._complete(cores[core_index], version, t):
                         self._recompute_speed(t)
@@ -509,7 +517,7 @@ class Simulator:
         # Completions landing exactly on the horizon still count as on time.
         while heap and heap[0][0] == duration and heap[0][1] == EV_COMPLETE:
             item = heapq.heappop(heap)
-            self._complete(self.cores[item[2]], item[4], duration)
+            self._complete(self.cores[item[2]], item[3], duration)
         for core in self.cores:
             for job in core.ready:
                 if job.deadline_ns <= duration:

@@ -7,10 +7,10 @@ arrives, whether shifting its task to another awake core would open up an
 idle interval long enough to put the home core to sleep, and where to.
 
 The idle interval, the gate, the destination choice and the speed are
-functions of numbers; the utilization and load helpers read a core's
-task-run state but keep none.
-The engine owns the candidate-core set ``S``, each core's next release and
-its utilization sums, and commits the shifts.
+functions of numbers; the dynamic-utilization helpers read a core's task-run
+state but keep none.
+The engine owns the candidate-core set ``S``, each core's next release, its
+utilization sums and pending load, and commits the shifts.
 """
 
 from __future__ import annotations
@@ -29,16 +29,12 @@ class PolicyKind(Enum):
     LA_REALLOC = "la_realloc"
 
 
-def current_arrival(period_ns: int, t_ns: int) -> int:
-    """Arrival of the invocation current at time t (latest arrival <= t)."""
-    return (t_ns // period_ns) * period_ns
-
-
 def task_dynamic_utilization(run, t_ns: int) -> float:
     """Utilization of one task at time t: actual/period once the current
     invocation finished, worst-case/period while it is pending."""
     task = run.task
-    if run.last_completed_arrival == current_arrival(task.period_ns, t_ns):
+    # the current invocation is the latest to arrive at or before t
+    if run.last_completed_arrival == t_ns // task.period_ns * task.period_ns:
         return run.last_cc_ns / task.period_ns
     return task.wcet_ns / task.period_ns
 
@@ -48,21 +44,6 @@ def core_dynamic_utilization(core, t_ns: int) -> float:
     for run in core.members:
         u += task_dynamic_utilization(run, t_ns)
     return u
-
-
-def core_static_utilization(core) -> float:
-    return sum(run.task.utilization for run in core.members)
-
-
-def compute_load_ns(core, t_ns: int) -> float:
-    """Pending work on a core: full worst case of every task with an arrived,
-    unfinished invocation (including one arriving exactly at t), as execution
-    time at maximum speed."""
-    total = 0.0
-    for run in core.members:
-        if run.last_completed_arrival != current_arrival(run.task.period_ns, t_ns):
-            total += run.task.wcet_ns
-    return total
 
 
 def compute_dt_ns(gap_ns: int, load_ns: float, critical_scale: float) -> float:

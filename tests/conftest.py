@@ -65,3 +65,20 @@ def core_next_release_ns(core, t_ns):
     if not core.members:
         return None
     return min(next_release(run.task, t_ns) for run in core.members)
+
+
+def core_static_utilization(core):
+    """Reference for the engine's static sum: a float re-sum of the members."""
+    return sum(run.task.utilization for run in core.members)
+
+
+def compute_load_ns(core, t_ns):
+    """Reference for the pending load the engine passes to ``compute_dt_ns``:
+    the worst case of every member whose invocation current at t (arrived at
+    or before t) has not finished, summed in task-id order."""
+    total = 0.0
+    for run in core.members:
+        period = run.task.period_ns
+        if run.last_completed_arrival != t_ns // period * period:
+            total += run.task.wcet_ns
+    return total

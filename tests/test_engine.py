@@ -2,12 +2,15 @@ import random
 
 import pytest
 
-from conftest import core_next_release_ns, motivational_config
+from conftest import (
+    compute_load_ns, core_next_release_ns, core_static_utilization, motivational_config,
+)
 from dense_oracle import integrate_trace_energy
 
 from coresleep import policies
 from coresleep.engine import (
-    SLEEPING, UTIL_UNIT, SimConfig, Simulator, edf_pick, run, write_trace_csv,
+    EV_WAKE, SLEEPING, UTIL_UNIT, EngineError, SimConfig, Simulator, edf_pick, run,
+    write_trace_csv,
 )
 from coresleep.harness import _instance_for
 from coresleep.partition import ltf_partition
@@ -331,9 +334,10 @@ def at_dispatch_fixed_point(sim, core):
 
 
 # The engine's sums, as floats, against the float re-sums of the policies
-# module: over every check of TestIncrementalState the largest gap measured
-# was 6.1e-16 relative, and 1.1e-19 absolute on sums below 1e-3 (each term
-# is a multiple of 2**-62, so a tiny sum keeps fewer significant bits).
+# module and conftest: over every check of TestIncrementalState the largest
+# gap measured was 6.1e-16 relative, and 1.1e-19 absolute on sums below 1e-3
+# (each term is a multiple of 2**-62, so a tiny sum keeps fewer significant
+# bits).
 SUM_REL_BOUND = 1e-15
 SUM_ABS_BOUND = 1e-18
 
@@ -341,14 +345,14 @@ SUM_ABS_BOUND = 1e-18
 def check_core_sums(core, t_ns):
     """A core's integer sums equal fresh integer re-sums of its members'
     terms, each term is the reference utilization in ``UTIL_UNIT`` units, and
-    the sums as floats agree with the ``policies`` float re-sums."""
+    the sums as floats agree with the float re-sums."""
     where = (t_ns, core.index)
     assert core.dyn_util == sum(run.term for run in core.members), where
     assert core.static_util == sum(run.full for run in core.members), where
     for run in core.members:
         assert run.term == round(policies.task_dynamic_utilization(run, t_ns) * UTIL_UNIT), where
     for exact, ref in ((core.dyn_util, policies.core_dynamic_utilization(core, t_ns)),
-                       (core.static_util, policies.core_static_utilization(core))):
+                       (core.static_util, core_static_utilization(core))):
         assert abs(exact / UTIL_UNIT - ref) <= SUM_REL_BOUND * ref + SUM_ABS_BOUND, where
 
 
@@ -359,11 +363,12 @@ def check_max_util(sim, t_ns):
 class CheckedSimulator(Simulator):
     """Checks the engine's incremental state against a full rescan: every
     core's utilization sums and the tracked largest sum after each speed
-    recompute, every option handed to ``select_core``, and between event
-    batches the largest sum, each core's next release and that no core would
-    act if it were dispatched."""
+    recompute, the pending load handed to ``compute_dt_ns`` (bit for bit) and
+    every option handed to ``select_core``, and between event batches the
+    largest sum, each core's next release and that no core would act if it
+    were dispatched."""
 
-    selects = 0
+    loads = selects = 0
 
     def _recompute_speed(self, t_ns):
         super()._recompute_speed(t_ns)
@@ -372,7 +377,13 @@ class CheckedSimulator(Simulator):
         check_max_util(self, t_ns)
 
     def _reallocate(self, run, t_ns):
-        select_core = policies.select_core
+        compute_dt_ns, select_core = policies.compute_dt_ns, policies.select_core
+        home = self.cores[run.core]
+
+        def checked_load(gap_ns, load_ns, critical_scale):
+            assert load_ns == compute_load_ns(home, t_ns), (t_ns, home.index)
+            self.loads += 1
+            return compute_dt_ns(gap_ns, load_ns, critical_scale)
 
         def checked(u_i, options, critical_scale):
             for u_dyn, idx, u_static in options:
@@ -383,11 +394,11 @@ class CheckedSimulator(Simulator):
             self.selects += 1
             return select_core(u_i, options, critical_scale)
 
-        policies.select_core = checked
+        policies.compute_dt_ns, policies.select_core = checked_load, checked
         try:
             super()._reallocate(run, t_ns)
         finally:
-            policies.select_core = select_core
+            policies.compute_dt_ns, policies.select_core = compute_dt_ns, select_core
 
     def _accrue(self, t0_ns, t1_ns):
         if t1_ns > 0:  # the first batch, at t = 0, has not run yet
@@ -439,7 +450,7 @@ class TestIncrementalState:
     def test_harmonic_periods_match_rescan(self, params, power_table, m):
         # Coinciding releases on other cores raise the speed at the instant
         # of a commit; the commit check must compare against that speed.
-        commits = selects = 0
+        commits = loads = selects = 0
         for seed in self.SEEDS:
             task_set, assignment = harmonic_instance(seed, m)
             cfg = SimConfig(params=params, cores=m, duration_ms=400.0,
@@ -454,8 +465,9 @@ class TestIncrementalState:
             for _u_st, _u_dy, _u_src, s_before, s_after in ledger.realloc_checks:
                 assert s_after <= s_before + 1e-12
             commits += ledger.realloc_count
+            loads += sim.loads
             selects += sim.selects
-        assert commits > 0 and selects >= commits
+        assert commits > 0 and loads >= selects >= commits
 
 
 class TestBacklogGuard:
@@ -487,3 +499,24 @@ class TestBacklogGuard:
         assert sim._complete(core, core.sched_version, 15 * MS)
         assert core.dyn_util == task_run.term == round(second.cc_ns / task.period_ns * UTIL_UNIT)
         assert task_run.term < task_run.full
+
+
+class StrayWake(Simulator):
+    """Pushes a wake one nanosecond before its first completion."""
+
+    pushed = False
+
+    def _complete(self, core, version, t_ns):
+        done = super()._complete(core, version, t_ns)
+        if done and not self.pushed:
+            self.pushed = True
+            self._push(t_ns - 1, EV_WAKE, core.index, core.wake_version)
+        return done
+
+
+def test_event_before_processed_instant_raises(params, motivational_tasks,
+                                               motivational_assignment):
+    # Without the guard time steps back by 1 ns and the gap is charged twice.
+    cfg = motivational_config(params, PolicyKind.LA_DVS)
+    with pytest.raises(EngineError):
+        StrayWake(cfg, motivational_tasks, motivational_assignment).run()

@@ -1,13 +1,12 @@
 import pytest
 
-from conftest import core_next_release_ns, motivational_config
+from conftest import compute_load_ns, core_next_release_ns, motivational_config
 
 from coresleep import policies
 from coresleep.engine import Simulator, run
 from coresleep.policies import (
     PolicyKind,
     compute_dt_ns,
-    compute_load_ns,
     core_dynamic_utilization,
     policy_speed,
     select_core,
@@ -62,20 +61,51 @@ def engine_dt_ns(sim, core, t_ns):
     return compute_dt_ns(gap, compute_load_ns(core, t_ns), sim.critical_scale)
 
 
+def engine_load_ns(sim, monkeypatch, task_id, t_ns):
+    """Pending load the engine hands to ``compute_dt_ns`` in the reallocation
+    attempt for the job of ``task_id`` released at t; it must also equal the
+    rescan of the home core's members bit for bit."""
+    loads = []
+
+    def recording(gap_ns, load_ns, critical_scale):
+        loads.append(load_ns)
+        return compute_dt_ns(gap_ns, load_ns, critical_scale)
+
+    monkeypatch.setattr(policies, "compute_dt_ns", recording)
+    home = sim.cores[sim.runs[task_id].core]
+    sim._reallocate(sim.runs[task_id], t_ns)
+    assert loads == [compute_load_ns(home, t_ns)]
+    return loads[0]
+
+
 class TestComputeLoad:
-    def test_all_arrived_at_start(self, sim):
+    def test_all_arrived_at_start(self, sim, monkeypatch):
         # both tasks on core 1 have pending first invocations at t = 0
-        assert compute_load_ns(sim.cores[1], 0) == pytest.approx(0.6 * MS)
+        release_all(sim, 0, (1, 2, 3))
+        assert engine_load_ns(sim, monkeypatch, 3, 0) == pytest.approx(0.6 * MS)
 
-    def test_only_fresh_invocation_counts(self, sim):
-        to_state_after_first_cycle(sim)
+    def test_only_fresh_invocation_counts(self, sim, monkeypatch):
+        to_engine_state_after_first_cycle(sim)
         # t = 2 ms: task 3 released again, task 2 finished until 4 ms
-        assert compute_load_ns(sim.cores[1], 2 * MS) == pytest.approx(0.2 * MS)
+        assert engine_load_ns(sim, monkeypatch, 3, 2 * MS) == pytest.approx(0.2 * MS)
 
-    def test_no_pending_work(self, sim):
-        to_state_after_first_cycle(sim)
-        # just before the 2 ms releases nothing is pending on core 1
-        assert compute_load_ns(sim.cores[1], 2 * MS - 1) == 0.0
+    def test_no_pending_work(self, sim, monkeypatch):
+        to_engine_state_after_first_cycle(sim, releases_at_2ms=False)
+        # just before the 2 ms releases nothing is pending on core 0, so the
+        # released job's own worst case is the whole load
+        assert compute_load_ns(sim.cores[0], 2 * MS - 1) == 0.0
+        release_all(sim, 2 * MS, (1,))
+        assert engine_load_ns(sim, monkeypatch, 1, 2 * MS) == pytest.approx(0.6 * MS)
+
+    def test_backlogged_task_counts_once(self, sim, monkeypatch):
+        # task 3's second job is still pending when its third is released at
+        # 4 ms: core 1 holds tasks 2 and 3 at their worst cases, 0.4 + 0.2,
+        # not 0.8 from counting every ready job
+        release_all(sim, 0, (1, 2, 3))
+        sim.cores[1].ready.clear()
+        release_all(sim, 2 * MS, (1, 3))
+        release_all(sim, 4 * MS, (2, 3))
+        assert engine_load_ns(sim, monkeypatch, 2, 4 * MS) == pytest.approx(0.6 * MS)
 
 
 class TestComputeDt:
