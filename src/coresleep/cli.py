@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from .engine import write_trace_csv
@@ -91,6 +92,10 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # A missing output directory fails before the run, not after it.
+        out = args.trace if args.command == "simulate" else args.out
+        if out and not os.path.isdir(os.path.dirname(out) or "."):
+            raise FileNotFoundError(f"output directory of {out!r} does not exist")
         params = load_power_params(args.constants) if args.constants else default_power_params()
         if args.command == "simulate":
             task_set, assignment, ledger, trace = run_single(

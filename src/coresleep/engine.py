@@ -4,10 +4,11 @@ Per-core preemptive EDF dispatch, a single global speed shared by all cores,
 sleep-state management with a break-even threshold, wake-up switching energy,
 and exact piecewise-constant energy integration between events.
 
-Equal-time events are ordered releases before completions before wakes, then
-by task/core id, then by the core's schedule or wake version, which only rises,
-so in push order; together with integer-nanosecond timestamps this makes every
-run bit-reproducible.
+Only releases wait in the event heap.  Each core holds its one pending
+completion or wake instant itself.  Equal-time events are handled releases
+first (by task id), then completions, then wakes (each by core index);
+together with integer-nanosecond timestamps this makes every run
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .policies import PolicyKind
 from .power import PowerParams, PowerTable, derive_speeds, sleep_threshold
 from .workload import NS_PER_MS, Job, TaskSet, draw_actual_ratio
 
-EV_RELEASE, EV_COMPLETE, EV_WAKE = 0, 1, 2
 ACTIVE, SLEEPING = 0, 1
+NEVER = float("inf")
 # Utilization terms and sums are exact integers in units of 2**-62 (any order).
 UTIL_UNIT = 2 ** 62
 
@@ -61,7 +62,7 @@ class TaskRun:
 class Core:
     __slots__ = (
         "index", "members", "nexts", "ready", "state", "running", "dyn_util", "static_util",
-        "sched_speed", "sched_version", "wake_version", "idle_evaluated",
+        "sched_speed", "due_ns", "idle_evaluated",
     )
 
     def __init__(self, index):
@@ -73,8 +74,8 @@ class Core:
         self.running = None
         self.dyn_util = self.static_util = 0   # members' Σ term and Σ full
         self.sched_speed = -1.0
-        self.sched_version = 0
-        self.wake_version = 0
+        # The running job's completion while active, the wake while asleep.
+        self.due_ns = NEVER
         self.idle_evaluated = False
 
 
@@ -168,14 +169,22 @@ class Simulator:
 
         self.cores = [Core(i) for i in range(config.cores)]
         self.runs = {}
-        for task in task_set:
-            run = TaskRun(task, assignment.home[task.id], config.seed)
-            self.runs[task.id] = run
-            self.cores[run.core].members.append(run)
-        for core in self.cores:
-            core.members.sort(key=lambda r: r.task.id)
+        # Every task of the set, and no other, has one home core, and
+        # core_tasks lists it there alone.
+        tasks, homes = {task.id: task for task in task_set}, assignment.home
+        for core, task_ids in zip(self.cores, assignment.core_tasks):
+            for task_id in sorted(task_ids):
+                if task_id not in tasks or task_id in self.runs or homes.get(task_id) != core.index:
+                    raise ValueError(f"task {task_id}, listed on core {core.index}, has home "
+                                     f"{homes.get(task_id)}, is listed twice or is not in the set")
+                self.runs[task_id] = TaskRun(tasks[task_id], core.index, config.seed)
+                core.members.append(self.runs[task_id])
             core.nexts = [0] * len(core.members)
             core.dyn_util = core.static_util = sum(run.full for run in core.members)
+        stray = sorted(tasks.keys() - self.runs.keys() | homes.keys() - tasks.keys())
+        if stray:
+            raise ValueError(f"task {stray[0]} has home {homes.get(stray[0])} but is not both "
+                             f"in the set and in core_tasks")
         # Largest dynamic sum over the cores, kept by _add_dyn_util.
         self.max_util = max(core.dyn_util for core in self.cores)
 
@@ -194,9 +203,6 @@ class Simulator:
         self._touched = set()
 
     # -- event plumbing ----------------------------------------------------
-
-    def _push(self, t_ns, kind, tie, payload):
-        heapq.heappush(self._heap, (t_ns, kind, tie, payload))
 
     def _trace(self, t_ns, core, event, task=None, detail=""):
         if self.trace is not None:
@@ -279,16 +285,14 @@ class Simulator:
         nxt = t_ns + task.period_ns
         heapq.heapreplace(core.nexts, nxt)
         if nxt < self.duration_ns:
-            self._push(nxt, EV_RELEASE, task.id, run)
+            heapq.heappush(self._heap, (nxt, task.id, run))
 
-    def _complete(self, core: Core, version, t_ns):
-        if core.state != ACTIVE or version != core.sched_version:
-            return False
+    def _complete(self, core: Core, t_ns):
         job = core.running
         job.remaining_ns = 0.0
         core.ready.remove(job)
         core.running = None
-        core.sched_version += 1
+        core.due_ns = NEVER
         run = self.runs[job.task_id]
         run.last_completed_arrival = job.arrival_ns
         run.last_cc_ns = job.cc_ns
@@ -302,13 +306,11 @@ class Simulator:
             self.ledger.deadline_miss_count += 1
         self._touched.add(core.index)
         self._trace(t_ns, core.index, "complete", job.task_id)
-        return True
 
-    def _wake(self, core: Core, version, t_ns):
-        if core.state != SLEEPING or version != core.wake_version:
-            return
+    def _wake(self, core: Core, t_ns):
         if core.ready:
             core.state = ACTIVE
+            core.due_ns = NEVER
             core.idle_evaluated = False
             self._touched.add(core.index)
             self.ledger.wake_count += 1
@@ -318,29 +320,23 @@ class Simulator:
         else:
             # The job this wake was scheduled for moved to another core;
             # stay asleep until the queue's next release, at no cost.
-            nxt = core.nexts[0] if core.nexts else None
-            core.wake_version += 1
-            if nxt is not None and nxt < self.duration_ns:
-                self._push(nxt, EV_WAKE, core.index, core.wake_version)
+            core.due_ns = core.nexts[0] if core.nexts else NEVER
 
     def _sleep(self, core: Core, t_ns, wake_at_ns):
         core.state = SLEEPING
         core.running = None
-        core.sched_version += 1
+        core.due_ns = wake_at_ns
         core.idle_evaluated = False
-        core.wake_version += 1
         # A sleeping core must not receive reallocated tasks.
         self.realloc_candidates.discard(core.index)
-        if wake_at_ns is not None and wake_at_ns < self.duration_ns:
-            self._push(wake_at_ns, EV_WAKE, core.index, core.wake_version)
         self._trace(t_ns, core.index, "sleep")
 
     def on_core_idle(self, core: Core, t_ns):
         """Sleep decision for a core with no ready work: sleep through the
         gap to its next release when the gap reaches the threshold, else stay
         active-idle at the global speed and record the failed sleep."""
-        nxt = core.nexts[0] if core.nexts else None
-        if nxt is None or nxt - t_ns >= self.t_th_ns:
+        nxt = core.nexts[0] if core.nexts else NEVER
+        if nxt - t_ns >= self.t_th_ns:
             self._sleep(core, t_ns, nxt)
         else:
             core.idle_evaluated = True
@@ -351,9 +347,6 @@ class Simulator:
             return
         job = edf_pick(core.ready)
         if job is None:
-            if core.running is not None:
-                core.running = None
-                core.sched_version += 1
             if not core.idle_evaluated:
                 self.on_core_idle(core, t_ns)
             return
@@ -365,12 +358,10 @@ class Simulator:
             self._trace(t_ns, core.index, "start", job.task_id)
         core.running = job
         core.sched_speed = self.speed
-        core.sched_version += 1
         core.idle_evaluated = False
         # Completion instants are rounded to the nearest nanosecond; the
         # sub-nanosecond work residue is cleared when the job completes.
-        wall = max(0, int(job.remaining_ns / self.speed + 0.5))
-        self._push(t_ns + wall, EV_COMPLETE, core.index, core.sched_version)
+        core.due_ns = t_ns + max(0, int(job.remaining_ns / self.speed + 0.5))
 
     # -- reallocation ----------------------------------------------------------
 
@@ -424,9 +415,6 @@ class Simulator:
         # t_ns may already have raised it above self.speed.
         speed_before = self._speed_of_sums()
         src.ready.remove(moved)
-        if src.running is moved:
-            src.running = None
-            src.sched_version += 1
         src.members.remove(run)
         src.idle_evaluated = False
         dest.members.append(run)
@@ -466,10 +454,10 @@ class Simulator:
         duration = self.duration_ns
         heap = self._heap
         for task_id in sorted(self.runs):
-            self._push(0, EV_RELEASE, task_id, self.runs[task_id])
+            heapq.heappush(heap, (0, task_id, self.runs[task_id]))
         for core in self.cores:
             if not core.members:
-                self._sleep(core, 0, None)
+                self._sleep(core, 0, NEVER)
         self._recompute_speed(0)
 
         is_realloc = self.cfg.policy is PolicyKind.LA_REALLOC
@@ -477,32 +465,36 @@ class Simulator:
         touched = self._touched
         heappop = heapq.heappop
         t_now = 0
-        while heap and heap[0][0] < duration:
-            t = heap[0][0]
+        while True:
+            due = min([core.due_ns for core in cores])
+            t = heap[0][0] if heap and heap[0][0] < due else due
+            if t >= duration:
+                break
             if t < t_now:
                 raise EngineError(f"event at {t} after the batch at {t_now}")
             self._accrue(t_now, t)
             t_now = t
             speed_before = self.speed
-            # Heap order gives releases, then completions, then wakes; none
-            # of them pushes an event at t, so each pops straight from it.
-            if heap[0][1] == EV_RELEASE:
+            if heap and heap[0][0] == t:
                 released = []
-                while heap and heap[0][0] == t and heap[0][1] == EV_RELEASE:
-                    run = heappop(heap)[3]
+                while heap and heap[0][0] == t:
+                    run = heappop(heap)[2]
                     self._release(run, t)
                     released.append(run)
                 for run in released:
                     if is_realloc:
                         self._reallocate(run, t)
                     self._recompute_speed(t)
-            while heap and heap[0][0] == t:
-                _t, kind, core_index, version = heappop(heap)
-                if kind == EV_COMPLETE:
-                    if self._complete(cores[core_index], version, t):
+            # Releases move no core's due instant, and a completion or a wake
+            # moves only its own core's, never back to t.
+            if due == t:
+                for core in cores:
+                    if core.due_ns == t and core.state == ACTIVE:
+                        self._complete(core, t)
                         self._recompute_speed(t)
-                else:
-                    self._wake(cores[core_index], version, t)
+                for core in cores:
+                    if core.due_ns == t and core.state == SLEEPING:
+                        self._wake(core, t)
             # Any other core is asleep, idle and already evaluated, or running
             # its EDF pick at the current speed: dispatching it is a no-op.
             if self.speed != speed_before:
@@ -515,9 +507,9 @@ class Simulator:
 
         self._accrue(t_now, duration)
         # Completions landing exactly on the horizon still count as on time.
-        while heap and heap[0][0] == duration and heap[0][1] == EV_COMPLETE:
-            item = heapq.heappop(heap)
-            self._complete(self.cores[item[2]], item[3], duration)
+        for core in cores:
+            if core.due_ns == duration and core.state == ACTIVE:
+                self._complete(core, duration)
         for core in self.cores:
             for job in core.ready:
                 if job.deadline_ns <= duration:

@@ -11,6 +11,7 @@ leakage-aware DVS policy.
 from __future__ import annotations
 
 import math
+import os
 import random
 from dataclasses import dataclass
 from multiprocessing import Pool
@@ -290,9 +291,8 @@ def emit(result: SweepResult, path) -> None:
 
 
 def _write_plot_script(csv_path) -> None:
-    script_path = str(csv_path)
-    script_path = script_path[:-4] if script_path.endswith(".csv") else script_path
-    script_path += "_plot.py"
+    stem = os.path.splitext(str(csv_path))[0]   # a dot in a directory name stays
+    script_path = stem + "_plot.py"
     body = f'''"""Plot normalized energy per policy from {csv_path!s}."""
 import csv
 
@@ -310,8 +310,8 @@ plt.xlabel(axis)
 plt.ylabel("energy normalized to la_dvs")
 plt.legend()
 plt.grid(True, alpha=0.3)
-plt.savefig({str(csv_path)!r}.rsplit(".", 1)[0] + ".png", dpi=150)
-print("wrote", {str(csv_path)!r}.rsplit(".", 1)[0] + ".png")
+plt.savefig({stem + ".png"!r}, dpi=150)
+print("wrote", {stem + ".png"!r})
 '''
     with open(script_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(body)

@@ -27,6 +27,23 @@ def test_simulate_writes_trace(tmp_path, capsys):
     assert trace.read_text().splitlines()[0] == "time_ns,core,event,task,detail"
 
 
+@pytest.mark.parametrize("command, runner, flag", [
+    ("sweep", "run_sweep", "--out"),
+    ("simulate", "run_single", "--trace"),
+])
+def test_missing_output_directory_fails_before_the_run(tmp_path, capsys, monkeypatch,
+                                                        command, runner, flag):
+    def never(*args, **kwargs):
+        raise AssertionError(f"{runner} called despite a missing output directory")
+
+    monkeypatch.setattr(f"coresleep.cli.{runner}", never)
+    args = [command, flag, str(tmp_path / "missing" / "x.csv")]
+    if command == "sweep":
+        args += ["--sweep", "U=0.2:0.4:0.2"]
+    assert main(args) == 1
+    assert "missing" in capsys.readouterr().err
+
+
 def test_sweep_writes_csv_and_is_reproducible(tmp_path, capsys):
     args = [
         "sweep", "--sweep", "U=0.2:0.4:0.2", "--runs", "2", "--duration", "300",

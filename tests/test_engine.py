@@ -9,11 +9,11 @@ from dense_oracle import integrate_trace_energy
 
 from coresleep import policies
 from coresleep.engine import (
-    EV_WAKE, SLEEPING, UTIL_UNIT, EngineError, SimConfig, Simulator, edf_pick, run,
+    NEVER, SLEEPING, UTIL_UNIT, EngineError, SimConfig, Simulator, edf_pick, run,
     write_trace_csv,
 )
 from coresleep.harness import _instance_for
-from coresleep.partition import ltf_partition
+from coresleep.partition import Assignment, ltf_partition
 from coresleep.policies import PolicyKind
 from coresleep.power import total_power_at_speed
 from coresleep.workload import NS_PER_MS, Job, Task, TaskSet, task_from_ms, uunifast
@@ -322,6 +322,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             Simulator(cfg, motivational_tasks, motivational_assignment)
 
+    # The motivational partition is home {1: 0, 2: 1, 3: 1}.
+    @pytest.mark.parametrize("home, core_tasks, task", [
+        ({1: 0, 3: 1}, ((1,), (3,)), 2),                      # a task without a home
+        ({1: 0, 2: 5, 3: 1}, ((1,), (2, 3)), 2),              # a home outside the cores
+        ({1: 0, 2: 1, 3: 1, 7: 0}, ((1, 7), (2, 3)), 7),      # an id not in the task set
+        ({1: 0, 2: 1, 3: 1}, ((1, 3), (2, 3)), 3),            # core_tasks lists it twice
+        ({1: 0, 2: 1, 3: 1}, ((1, 2), (3,)), 2),              # core_tasks disagrees with home
+    ])
+    def test_assignment_must_match_task_set(self, params, motivational_tasks,
+                                            motivational_assignment, home, core_tasks, task):
+        assert motivational_assignment.home == {1: 0, 2: 1, 3: 1}
+        bad = Assignment(home=home, core_tasks=core_tasks, core_utilization=(0.0, 0.0))
+        with pytest.raises(ValueError, match=f"task {task}"):
+            Simulator(SimConfig(params=params, cores=2), motivational_tasks, bad)
+
 
 def at_dispatch_fixed_point(sim, core):
     """True when dispatching ``core`` now would change nothing."""
@@ -360,15 +375,41 @@ def check_max_util(sim, t_ns):
     assert sim.max_util == max(core.dyn_util for core in sim.cores), t_ns
 
 
+def check_due(core, t_ns):
+    """A core's due instant fits its state: the wake at its next release (or
+    never) while asleep, the running job's completion no earlier than now
+    while running, never while idle."""
+    where = (t_ns, core.index)
+    if core.state == SLEEPING:
+        assert core.due_ns == (core.nexts[0] if core.nexts else NEVER), where
+    elif core.running is not None:
+        assert t_ns <= core.due_ns < NEVER, where
+    else:
+        assert core.due_ns == NEVER, where
+
+
 class CheckedSimulator(Simulator):
     """Checks the engine's incremental state against a full rescan: every
     core's utilization sums and the tracked largest sum after each speed
     recompute, the pending load handed to ``compute_dt_ns`` (bit for bit) and
     every option handed to ``select_core``, and between event batches the
-    largest sum, each core's next release and that no core would act if it
-    were dispatched."""
+    largest sum, each core's next release and due instant, that no core would
+    act if it were dispatched, and that the batch handled an event."""
 
     loads = selects = 0
+    batch_events = None   # events the current batch handled; None before the first
+
+    def _release(self, run, t_ns):
+        self.batch_events += 1
+        super()._release(run, t_ns)
+
+    def _complete(self, core, t_ns):
+        self.batch_events += 1
+        super()._complete(core, t_ns)
+
+    def _wake(self, core, t_ns):
+        self.batch_events += 1
+        super()._wake(core, t_ns)
 
     def _recompute_speed(self, t_ns):
         super()._recompute_speed(t_ns)
@@ -401,12 +442,15 @@ class CheckedSimulator(Simulator):
             policies.compute_dt_ns, policies.select_core = compute_dt_ns, select_core
 
     def _accrue(self, t0_ns, t1_ns):
-        if t1_ns > 0:  # the first batch, at t = 0, has not run yet
+        if self.batch_events is not None:  # the first batch, at t = 0, has not run yet
+            assert self.batch_events > 0, t0_ns
             check_max_util(self, t0_ns)
             for core in self.cores:
                 assert at_dispatch_fixed_point(self, core), (t0_ns, core.index)
                 top = core.nexts[0] if core.nexts else None
                 assert top == core_next_release_ns(core, t0_ns), (t0_ns, core.index)
+                check_due(core, t0_ns)
+        self.batch_events = 0
         super()._accrue(t0_ns, t1_ns)
 
 
@@ -487,7 +531,8 @@ class TestBacklogGuard:
         first = core.running
         assert first.cc_ns < task.wcet_ns
         sim._release(task_run, 10 * MS)
-        assert sim._complete(core, core.sched_version, 11 * MS)
+        sim._complete(core, 11 * MS)
+        assert core.running is None and core.due_ns == NEVER
         assert first.index == 1 and task_run.next_index == 3
         assert task_run.term == task_run.full == core.dyn_util
         assert task_run.term == round(
@@ -496,22 +541,22 @@ class TestBacklogGuard:
         sim._dispatch(core, 11 * MS)
         second = core.running
         assert second.index == 2
-        assert sim._complete(core, core.sched_version, 15 * MS)
+        sim._complete(core, 15 * MS)
         assert core.dyn_util == task_run.term == round(second.cc_ns / task.period_ns * UTIL_UNIT)
         assert task_run.term < task_run.full
 
 
 class StrayWake(Simulator):
-    """Pushes a wake one nanosecond before its first completion."""
+    """At its first completion, moves another core's due instant to one
+    nanosecond before it."""
 
-    pushed = False
+    moved = False
 
-    def _complete(self, core, version, t_ns):
-        done = super()._complete(core, version, t_ns)
-        if done and not self.pushed:
-            self.pushed = True
-            self._push(t_ns - 1, EV_WAKE, core.index, core.wake_version)
-        return done
+    def _complete(self, core, t_ns):
+        super()._complete(core, t_ns)
+        if not self.moved:
+            self.moved = True
+            self.cores[1 - core.index].due_ns = t_ns - 1
 
 
 def test_event_before_processed_instant_raises(params, motivational_tasks,

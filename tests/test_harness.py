@@ -182,6 +182,18 @@ class TestEmit:
         assert script.exists()
         compile(script.read_text(), str(script), "exec")
 
+    @pytest.mark.parametrize("name, stem", [
+        ("out.csv", "out"),
+        ("run.v2/results", "run.v2/results"),
+        ("run.v2/results.txt", "run.v2/results"),
+    ])
+    def test_plot_script_and_png_sit_next_to_the_csv(self, tmp_path, name, stem):
+        (tmp_path / "run.v2").mkdir()
+        emit(SweepResult(spec=tiny_spec(), rows=[], skipped={}), tmp_path / name)
+        script = (tmp_path / f"{stem}_plot.py").read_text()
+        png = str(tmp_path / f"{stem}.png")
+        assert f"plt.savefig({png!r}, dpi=150)" in script
+
     def test_header_only_for_empty_rows(self, tmp_path):
         result = SweepResult(spec=tiny_spec(), rows=[], skipped={})
         path = tmp_path / "empty.csv"
