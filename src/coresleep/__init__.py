@@ -27,7 +27,6 @@ from .workload import (
     WorkloadError,
     draw_actual_ratio,
     generate_task_set,
-    next_release,
     read_task_set_csv,
     task_from_ms,
     write_task_set_csv,

@@ -92,10 +92,13 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # A missing output directory fails before the run, not after it.
+        # A missing output directory, or an output path that is one, fails
+        # before the run, not after it.
         out = args.trace if args.command == "simulate" else args.out
         if out and not os.path.isdir(os.path.dirname(out) or "."):
             raise FileNotFoundError(f"output directory of {out!r} does not exist")
+        if out and os.path.isdir(out):
+            raise IsADirectoryError(f"output path {out!r} is a directory")
         params = load_power_params(args.constants) if args.constants else default_power_params()
         if args.command == "simulate":
             task_set, assignment, ledger, trace = run_single(

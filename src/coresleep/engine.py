@@ -62,7 +62,7 @@ class TaskRun:
 class Core:
     __slots__ = (
         "index", "members", "nexts", "ready", "state", "running", "dyn_util", "static_util",
-        "sched_speed", "due_ns", "idle_evaluated",
+        "due_ns",
     )
 
     def __init__(self, index):
@@ -73,10 +73,8 @@ class Core:
         self.state = ACTIVE
         self.running = None
         self.dyn_util = self.static_util = 0   # members' Σ term and Σ full
-        self.sched_speed = -1.0
         # The running job's completion while active, the wake while asleep.
         self.due_ns = NEVER
-        self.idle_evaluated = False
 
 
 @dataclass
@@ -275,7 +273,6 @@ class Simulator:
         run.next_index += 1
         core = self.cores[run.core]
         core.ready.append(job)
-        core.idle_evaluated = False
         self._add_dyn_util(core, run.full - run.term)
         run.term = run.full
         self._touched.add(core.index)
@@ -311,7 +308,6 @@ class Simulator:
         if core.ready:
             core.state = ACTIVE
             core.due_ns = NEVER
-            core.idle_evaluated = False
             self._touched.add(core.index)
             self.ledger.wake_count += 1
             # kept as the exact product, not a running float sum
@@ -324,9 +320,7 @@ class Simulator:
 
     def _sleep(self, core: Core, t_ns, wake_at_ns):
         core.state = SLEEPING
-        core.running = None
         core.due_ns = wake_at_ns
-        core.idle_evaluated = False
         # A sleeping core must not receive reallocated tasks.
         self.realloc_candidates.discard(core.index)
         self._trace(t_ns, core.index, "sleep")
@@ -339,26 +333,25 @@ class Simulator:
         if nxt - t_ns >= self.t_th_ns:
             self._sleep(core, t_ns, nxt)
         else:
-            core.idle_evaluated = True
             self.ledger.failed_sleep_count += 1
 
-    def _dispatch(self, core: Core, t_ns):
+    def _dispatch(self, core: Core, t_ns, speed_changed):
+        """Bring a core up to date after a batch: an idle core gets its sleep
+        decision, a busy core runs its EDF pick, timed anew when the pick
+        changed or ``speed_changed``."""
         if core.state == SLEEPING:
             return
         job = edf_pick(core.ready)
         if job is None:
-            if not core.idle_evaluated:
-                self.on_core_idle(core, t_ns)
+            self.on_core_idle(core, t_ns)
             return
-        if job is core.running and self.speed == core.sched_speed:
+        if job is core.running and not speed_changed:
             return
         if core.running is not None and core.running is not job:
             self._trace(t_ns, core.index, "preempt", core.running.task_id)
         if core.running is not job:
             self._trace(t_ns, core.index, "start", job.task_id)
         core.running = job
-        core.sched_speed = self.speed
-        core.idle_evaluated = False
         # Completion instants are rounded to the nearest nanosecond; the
         # sub-nanosecond work residue is cleared when the job completes.
         core.due_ns = t_ns + max(0, int(job.remaining_ns / self.speed + 0.5))
@@ -416,11 +409,9 @@ class Simulator:
         speed_before = self._speed_of_sums()
         src.ready.remove(moved)
         src.members.remove(run)
-        src.idle_evaluated = False
         dest.members.append(run)
         dest.members.sort(key=lambda r: r.task.id)
         dest.ready.append(moved)
-        dest.idle_evaluated = False
         run.core = dest.index
         # The task was released at t_ns, so its next release is t_ns + P.
         nxt = t_ns + run.task.period_ns
@@ -495,14 +486,13 @@ class Simulator:
                 for core in cores:
                     if core.due_ns == t and core.state == SLEEPING:
                         self._wake(core, t)
-            # Any other core is asleep, idle and already evaluated, or running
-            # its EDF pick at the current speed: dispatching it is a no-op.
-            if self.speed != speed_before:
-                for core in cores:
-                    self._dispatch(core, t)
-            else:
-                for i in sorted(touched):
-                    self._dispatch(cores[i], t)
+            # An untouched core is asleep, idle with its sleep decision made,
+            # or running its EDF pick; only the last depends on the speed.
+            speed_changed = self.speed != speed_before
+            if speed_changed:
+                touched.update(core.index for core in cores if core.running is not None)
+            for i in sorted(touched):
+                self._dispatch(cores[i], t, speed_changed)
             touched.clear()
 
         self._accrue(t_now, duration)

@@ -95,11 +95,6 @@ class TaskSet:
         return iter(self.tasks)
 
 
-def next_release(task: Task, t_ns: int) -> int:
-    """First release of ``task`` strictly after ``t_ns``."""
-    return (t_ns // task.period_ns) * task.period_ns + task.period_ns
-
-
 def uunifast(n: int, u_target: float, rng: random.Random) -> list[float]:
     """Unbiased split of ``u_target`` into ``n`` task utilizations."""
     sum_u = u_target

@@ -8,7 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from coresleep.engine import SimConfig
 from coresleep.partition import ltf_partition
 from coresleep.power import PowerTable, default_power_params, derive_speeds
-from coresleep.workload import TaskSet, next_release, task_from_ms
+from coresleep.workload import TaskSet, task_from_ms
 
 
 @pytest.fixture(scope="session")
@@ -57,6 +57,11 @@ def motivational_config(params, policy, duration_ms=16.0, collect_trace=True):
         t_th_ms_override=2.0,
         collect_trace=collect_trace,
     )
+
+
+def next_release(task, t_ns):
+    """First release of ``task`` strictly after ``t_ns``."""
+    return (t_ns // task.period_ns) * task.period_ns + task.period_ns
 
 
 def core_next_release_ns(core, t_ns):

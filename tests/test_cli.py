@@ -44,6 +44,24 @@ def test_missing_output_directory_fails_before_the_run(tmp_path, capsys, monkeyp
     assert "missing" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, runner, flag", [
+    ("sweep", "run_sweep", "--out"),
+    ("simulate", "run_single", "--trace"),
+])
+def test_directory_as_output_path_fails_before_the_run(tmp_path, capsys, monkeypatch,
+                                                       command, runner, flag):
+    def never(*args, **kwargs):
+        raise AssertionError(f"{runner} called despite a directory as output path")
+
+    monkeypatch.setattr(f"coresleep.cli.{runner}", never)
+    args = [command, flag, str(tmp_path)]
+    if command == "sweep":
+        args += ["--sweep", "U=0.2:0.4:0.2"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "is a directory" in err
+
+
 def test_sweep_writes_csv_and_is_reproducible(tmp_path, capsys):
     args = [
         "sweep", "--sweep", "U=0.2:0.4:0.2", "--runs", "2", "--duration", "300",

@@ -338,14 +338,18 @@ class TestConfigValidation:
             Simulator(SimConfig(params=params, cores=2), motivational_tasks, bad)
 
 
-def at_dispatch_fixed_point(sim, core):
-    """True when dispatching ``core`` now would change nothing."""
+def at_dispatch_fixed_point(sim, core, t_ns):
+    """True when dispatching ``core`` at ``t_ns`` would change nothing: an
+    awake idle core's gap to its next release is below the sleep threshold,
+    and a running core runs its EDF pick with its completion timed, to the
+    1 ns rounding, at the current speed."""
     if core.state == SLEEPING:
         return True
     job = edf_pick(core.ready)
     if job is None:
-        return core.running is None and core.idle_evaluated
-    return job is core.running and core.sched_speed == sim.speed
+        return core.running is None and bool(core.nexts) and core.nexts[0] - t_ns < sim.t_th_ns
+    return (job is core.running
+            and abs(core.due_ns - t_ns - job.remaining_ns / sim.speed) <= 1)
 
 
 # The engine's sums, as floats, against the float re-sums of the policies
@@ -394,7 +398,10 @@ class CheckedSimulator(Simulator):
     recompute, the pending load handed to ``compute_dt_ns`` (bit for bit) and
     every option handed to ``select_core``, and between event batches the
     largest sum, each core's next release and due instant, that no core would
-    act if it were dispatched, and that the batch handled an event."""
+    act if it were dispatched, and that the batch handled an event.  The last
+    check but one reads numbers, not engine flags: an awake idle core's gap to
+    its next release against the sleep threshold, and a running core's due
+    instant against its remaining work at the current speed."""
 
     loads = selects = 0
     batch_events = None   # events the current batch handled; None before the first
@@ -446,7 +453,7 @@ class CheckedSimulator(Simulator):
             assert self.batch_events > 0, t0_ns
             check_max_util(self, t0_ns)
             for core in self.cores:
-                assert at_dispatch_fixed_point(self, core), (t0_ns, core.index)
+                assert at_dispatch_fixed_point(self, core, t0_ns), (t0_ns, core.index)
                 top = core.nexts[0] if core.nexts else None
                 assert top == core_next_release_ns(core, t0_ns), (t0_ns, core.index)
                 check_due(core, t0_ns)
@@ -527,7 +534,7 @@ class TestBacklogGuard:
         task_run, core = sim.runs[0], sim.cores[0]
         sim._recompute_speed(0)
         sim._release(task_run, 0)
-        sim._dispatch(core, 0)
+        sim._dispatch(core, 0, False)
         first = core.running
         assert first.cc_ns < task.wcet_ns
         sim._release(task_run, 10 * MS)
@@ -538,7 +545,7 @@ class TestBacklogGuard:
         assert task_run.term == round(
             policies.task_dynamic_utilization(task_run, 11 * MS) * UTIL_UNIT)
 
-        sim._dispatch(core, 11 * MS)
+        sim._dispatch(core, 11 * MS, False)
         second = core.running
         assert second.index == 2
         sim._complete(core, 15 * MS)
@@ -565,3 +572,84 @@ def test_event_before_processed_instant_raises(params, motivational_tasks,
     cfg = motivational_config(params, PolicyKind.LA_DVS)
     with pytest.raises(EngineError):
         StrayWake(cfg, motivational_tasks, motivational_assignment).run()
+
+
+class DispatchRecorder(Simulator):
+    """Records every dispatch as (instant, core, whether the core was asleep
+    or idle and no event of its batch touched it)."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = []
+        self.events = set()   # (instant, core) of each release, completion, wake, move
+
+    def _release(self, run, t_ns):
+        self.events.add((t_ns, run.core))
+        super()._release(run, t_ns)
+
+    def _complete(self, core, t_ns):
+        self.events.add((t_ns, core.index))
+        super()._complete(core, t_ns)
+
+    def _wake(self, core, t_ns):
+        self.events.add((t_ns, core.index))
+        super()._wake(core, t_ns)
+
+    def _commit(self, run, moved, src, dest, t_ns):
+        self.events.update(((t_ns, src.index), (t_ns, dest.index)))
+        super()._commit(run, moved, src, dest, t_ns)
+
+    def _dispatch(self, core, t_ns, *args):
+        resting = core.state == SLEEPING or not core.ready
+        self.calls.append((t_ns, core.index, resting and (t_ns, core.index) not in self.events))
+        super()._dispatch(core, t_ns, *args)
+
+
+def speed_moving_instance(params, power_table, t_th_ms):
+    """Core 0 runs a 2 ms task whose releases and completions move the
+    speed; core 1 runs one 20 ms task and, between its jobs, is asleep (short
+    threshold) or awake and idle (long threshold) through those changes."""
+    task_set = TaskSet(tasks=(task_from_ms(0, 2.0, 1.0), task_from_ms(1, 20.0, 1.0)))
+    assignment = ltf_partition(task_set, 2)
+    assert assignment.home == {0: 0, 1: 1}
+    cfg = SimConfig(params=params, cores=2, duration_ms=100.0, cc_mean_ratio=0.5,
+                    policy=PolicyKind.PURE_DVS, seed=1, power_table=power_table,
+                    t_th_ms_override=t_th_ms, collect_trace=True)
+    return cfg, task_set, assignment
+
+
+def resting_speed_changes(trace, core):
+    """Speed changes at instants where ``core`` has no event of its own and
+    has completed a job more recently than it started one."""
+    resting, own, changes = False, set(), 0
+    for t, c, event, _task, _detail in trace:
+        if c == core:
+            own.add(t)
+            if event in ("start", "complete"):
+                resting = event == "complete"
+        elif event == "speed_change" and resting and t not in own:
+            changes += 1
+    return changes
+
+
+class TestSpeedChangeDispatch:
+    @pytest.mark.parametrize("t_th_ms", [1.0, 1000.0])
+    def test_untouched_resting_core_is_not_dispatched(self, params, power_table, t_th_ms):
+        sim = DispatchRecorder(*speed_moving_instance(params, power_table, t_th_ms))
+        _ledger, trace = sim.run()
+        sleeps = sum(1 for row in trace if row[1] == 1 and row[2] == "sleep")
+        assert (sleeps > 0) == (t_th_ms < 20.0)
+        assert resting_speed_changes(trace, 1) > 10
+        assert [call for call in sim.calls if call[2]] == []
+
+    def test_declined_sleep_counts_once_across_speed_changes(self, params, power_table):
+        cfg, task_set, assignment = speed_moving_instance(params, power_table, 1000.0)
+        ledger, trace = run(cfg, task_set, assignment)
+        assert resting_speed_changes(trace, 1) > 10
+        # A core goes idle at each completion not followed by a start at the
+        # same instant, and each such idle moment is one declined sleep.
+        starts = {(t, c) for t, c, event, _task, _detail in trace if event == "start"}
+        idle_moments = sum(1 for t, c, event, _task, _detail in trace
+                           if event == "complete" and (t, c) not in starts)
+        assert ledger.wake_count == 0
+        assert ledger.failed_sleep_count == idle_moments > 0

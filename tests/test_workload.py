@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from conftest import next_release
+
 from coresleep.engine import TaskRun
 from coresleep.policies import task_dynamic_utilization
 from coresleep.workload import (
@@ -13,7 +15,6 @@ from coresleep.workload import (
     WorkloadError,
     draw_actual_ratio,
     generate_task_set,
-    next_release,
     read_task_set_csv,
     task_from_ms,
     write_task_set_csv,
