@@ -5,8 +5,6 @@ energy-per-cycle curve whose minimum defines the critical speed, and the
 break-even sleep threshold.
 """
 
-import numpy as np
-
 from coresleep import (
     default_power_params,
     derive_speeds,
@@ -34,12 +32,12 @@ for vdd in (params.vdd_min, params.vdd_max):
 # energy per cycle is what the speed floor minimizes: running slower than
 # the critical speed makes every cycle pay more leakage than it saves in
 # switching energy
-speeds = np.linspace(derived.min_scale, 1.0, 200)
-epc = np.array([
-    total_power_at_speed(params, derived, s) / (s * derived.f_max) for s in speeds
-])
+step = (1.0 - derived.min_scale) / 199
+speeds = [derived.min_scale + i * step for i in range(200)]
+grid_min = min(speeds,
+               key=lambda s: total_power_at_speed(params, derived, s) / (s * derived.f_max))
 print(f"\ncritical speed: {derived.critical_scale:.4f} of f_max "
-      f"(grid minimum at {speeds[int(np.argmin(epc))]:.4f})")
+      f"(grid minimum at {grid_min:.4f})")
 
 print("\nsleep threshold for a few switching overheads:")
 for e_sw in (1e-4, 5e-4, 1e-3):

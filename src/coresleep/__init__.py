@@ -3,7 +3,7 @@ global DVS, core sleep states, and run-time task reallocation."""
 
 from .engine import EnergyLedger, SimConfig, Simulator, edf_pick, run, write_trace_csv
 from .harness import SweepSpec, SweepResult, emit, normalize, run_single, run_sweep
-from .partition import Assignment, PartitionError, ltf_partition, write_assignment_csv
+from .partition import Assignment, PartitionError, ltf_partition
 from .policies import PolicyKind, policy_speed
 from .power import (
     DerivedSpeeds,
@@ -27,9 +27,7 @@ from .workload import (
     WorkloadError,
     draw_actual_ratio,
     generate_task_set,
-    read_task_set_csv,
     task_from_ms,
-    write_task_set_csv,
 )
 
 __version__ = "0.1.0"

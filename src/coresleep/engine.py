@@ -189,13 +189,12 @@ class Simulator:
         # Candidate set S of the reallocation rule: awake cores whose last
         # shift attempt failed, so they may take in another core's task.
         self.realloc_candidates: set[int] = set()
-        self.speed = -1.0          # sentinel; the t=0 recompute always sets it
+        self.speed = self.power = -1.0   # sentinels; the t=0 recompute sets both
         self.ledger = EnergyLedger(
             busy_j=[0.0] * config.cores, idle_j=[0.0] * config.cores
         )
         self.trace = [] if config.collect_trace else None
         self._heap: list = []
-        self._power_cache = (-1.0, 0.0)
         self._speed_cache = (-1, 0.0)   # (max_util, the policy's speed for it)
         # Core indices an event of the current batch changed (to dispatch).
         self._touched = set()
@@ -207,14 +206,6 @@ class Simulator:
             self.trace.append((t_ns, core, event, task, detail))
 
     # -- model helpers -----------------------------------------------------
-
-    def _power(self, speed):
-        cached_s, cached_p = self._power_cache
-        if speed == cached_s:
-            return cached_p
-        p = self.table.power(speed)
-        self._power_cache = (speed, p)
-        return p
 
     def _add_dyn_util(self, core: Core, delta):
         """Change a core's dynamic sum, keeping ``max_util`` the largest sum:
@@ -239,17 +230,22 @@ class Simulator:
         return s
 
     def _recompute_speed(self, t_ns):
+        """Set the speed and its power for the current sums; True when the
+        speed changed."""
         s = self._speed_of_sums()
-        if s != self.speed:
-            self.speed = s
-            if self.trace is not None:
-                self.trace.append((t_ns, None, "speed_change", None, repr(s)))
+        if s == self.speed:
+            return False
+        self.speed = s
+        self.power = self.table.power(s)
+        if self.trace is not None:
+            self.trace.append((t_ns, None, "speed_change", None, repr(s)))
+        return True
 
     def _accrue(self, t0_ns, t1_ns):
         dt = t1_ns - t0_ns
         if dt <= 0:
             return
-        energy = self._power(self.speed) * dt * 1e-9
+        energy = self.power * dt * 1e-9
         work = dt * self.speed
         busy = self.ledger.busy_j
         idle = self.ledger.idle_j
@@ -286,7 +282,6 @@ class Simulator:
 
     def _complete(self, core: Core, t_ns):
         job = core.running
-        job.remaining_ns = 0.0
         core.ready.remove(job)
         core.running = None
         core.due_ns = NEVER
@@ -353,7 +348,7 @@ class Simulator:
             self._trace(t_ns, core.index, "start", job.task_id)
         core.running = job
         # Completion instants are rounded to the nearest nanosecond; the
-        # sub-nanosecond work residue is cleared when the job completes.
+        # sub-nanosecond work residue is dropped with the completed job.
         core.due_ns = t_ns + max(0, int(job.remaining_ns / self.speed + 0.5))
 
     # -- reallocation ----------------------------------------------------------
@@ -428,16 +423,16 @@ class Simulator:
 
         # The selection rules guarantee these; check each commit (u_static re-summed).
         u_static = sum(r.task.utilization for r in dest.members)
-        self._recompute_speed(t_ns)
+        speed_after = self._speed_of_sums()
         u_dyn = dest.dyn_util / UTIL_UNIT
         u_dyn_src = src.dyn_util / UTIL_UNIT
         if u_dyn > self.critical_scale + 1e-9:
             raise EngineError("reallocation pushed dynamic utilization past the critical scale")
         if u_static > 1.0 + 1e-9:
             raise EngineError("reallocation overloaded the destination core")
-        if self.speed > speed_before + 1e-12:
+        if speed_after > speed_before + 1e-12:
             raise EngineError("reallocation raised the global speed")
-        self.ledger.realloc_checks.append((u_static, u_dyn, u_dyn_src, speed_before, self.speed))
+        self.ledger.realloc_checks.append((u_static, u_dyn, u_dyn_src, speed_before, speed_after))
 
     # -- main loop -----------------------------------------------------------
 
@@ -465,30 +460,31 @@ class Simulator:
                 raise EngineError(f"event at {t} after the batch at {t_now}")
             self._accrue(t_now, t)
             t_now = t
-            speed_before = self.speed
             if heap and heap[0][0] == t:
                 released = []
                 while heap and heap[0][0] == t:
                     run = heappop(heap)[2]
                     self._release(run, t)
                     released.append(run)
-                for run in released:
-                    if is_realloc:
+                if is_realloc:
+                    for run in released:
                         self._reallocate(run, t)
-                    self._recompute_speed(t)
             # Releases move no core's due instant, and a completion or a wake
             # moves only its own core's, never back to t.
             if due == t:
                 for core in cores:
                     if core.due_ns == t and core.state == ACTIVE:
                         self._complete(core, t)
-                        self._recompute_speed(t)
+            # The batch's one speed: every dispatch below times completions
+            # at it, and it is charged up to the next batch.  Wakes leave the
+            # sums alone.
+            speed_changed = self._recompute_speed(t)
+            if due == t:
                 for core in cores:
                     if core.due_ns == t and core.state == SLEEPING:
                         self._wake(core, t)
             # An untouched core is asleep, idle with its sleep decision made,
             # or running its EDF pick; only the last depends on the speed.
-            speed_changed = self.speed != speed_before
             if speed_changed:
                 touched.update(core.index for core in cores if core.running is not None)
             for i in sorted(touched):

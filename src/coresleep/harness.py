@@ -37,6 +37,9 @@ DEFAULT_GRIDS = {
 }
 
 NAN = float("nan")
+# Partition attempts per instance before a configuration point counts as
+# infeasible.
+MAX_PARTITION_RETRIES = 50
 
 
 class SweepError(ValueError):
@@ -80,7 +83,7 @@ class SweepSpec:
     duration_ms: float = 10_000.0
     repetitions: int = 100
     base_seed: int = 1
-    max_partition_retries: int = 50
+    max_partition_retries: int = MAX_PARTITION_RETRIES
 
     def __post_init__(self):
         if self.axis not in AXES:
@@ -329,14 +332,13 @@ def run_single(
     duration_ms: float = 10_000.0,
     seed: int = 1,
     collect_trace: bool = False,
-    max_partition_retries: int = 50,
 ):
     """Generate one instance and simulate it under one policy.
 
     Returns (task_set, assignment, ledger, trace).
     """
     _check_run_parameters(u, e_sw_j, m, cc_ratio, n_range, period_range_ms, duration_ms)
-    instance = _instance_for(seed, n_range, u * m, m, period_range_ms, max_partition_retries)
+    instance = _instance_for(seed, n_range, u * m, m, period_range_ms, MAX_PARTITION_RETRIES)
     if instance is None:
         raise PartitionError(f"no feasible partition for seed {seed} after resampling")
     task_set, assignment = instance

@@ -3,7 +3,6 @@ loaded core (worst fit)."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 from .workload import TaskSet
@@ -56,11 +55,3 @@ def ltf_partition(task_set: TaskSet, m: int) -> Assignment:
         core_tasks=tuple(tuple(sorted(b)) for b in bins),
         core_utilization=tuple(load),
     )
-
-
-def write_assignment_csv(assignment: Assignment, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["task_id", "core"])
-        for task_id in sorted(assignment.home):
-            writer.writerow([task_id, assignment.home[task_id]])

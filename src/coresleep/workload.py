@@ -7,7 +7,6 @@ and actual execution time at maximum speed) are float nanoseconds.
 
 from __future__ import annotations
 
-import csv
 import math
 import random
 from dataclasses import dataclass
@@ -41,14 +40,6 @@ class Task:
     @property
     def utilization(self) -> float:
         return self.wcet_ns / self.period_ns
-
-    @property
-    def period_ms(self) -> float:
-        return self.period_ns / NS_PER_MS
-
-    @property
-    def wcet_ms(self) -> float:
-        return self.wcet_ns / NS_PER_MS
 
 
 def task_from_ms(task_id: int, period_ms: float, wcet_ms: float) -> Task:
@@ -169,19 +160,3 @@ def draw_actual_ratio(mean_ratio: float, rng: random.Random) -> float:
         r = rng.uniform(lo, hi)
         if r > 0.0:
             return r
-
-
-def write_task_set_csv(task_set: TaskSet, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "period_ms", "wcet_ms"])
-        for t in task_set:
-            writer.writerow([t.id, repr(t.period_ms), repr(t.wcet_ms)])
-
-
-def read_task_set_csv(path) -> TaskSet:
-    tasks = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            tasks.append(task_from_ms(int(row["id"]), float(row["period_ms"]), float(row["wcet_ms"])))
-    return TaskSet(tasks=tuple(tasks))

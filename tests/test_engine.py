@@ -394,7 +394,8 @@ def check_due(core, t_ns):
 
 class CheckedSimulator(Simulator):
     """Checks the engine's incremental state against a full rescan: every
-    core's utilization sums and the tracked largest sum after each speed
+    core's utilization sums and the tracked largest sum after each
+    reallocation attempt, each completion and each batch's speed
     recompute, the pending load handed to ``compute_dt_ns`` (bit for bit) and
     every option handed to ``select_core``, and between event batches the
     largest sum, each core's next release and due instant, that no core would
@@ -413,13 +414,18 @@ class CheckedSimulator(Simulator):
     def _complete(self, core, t_ns):
         self.batch_events += 1
         super()._complete(core, t_ns)
+        self.check_sums(t_ns)
 
     def _wake(self, core, t_ns):
         self.batch_events += 1
         super()._wake(core, t_ns)
 
     def _recompute_speed(self, t_ns):
-        super()._recompute_speed(t_ns)
+        changed = super()._recompute_speed(t_ns)
+        self.check_sums(t_ns)
+        return changed
+
+    def check_sums(self, t_ns):
         for core in self.cores:
             check_core_sums(core, t_ns)
         check_max_util(self, t_ns)
@@ -447,6 +453,7 @@ class CheckedSimulator(Simulator):
             super()._reallocate(run, t_ns)
         finally:
             policies.compute_dt_ns, policies.select_core = compute_dt_ns, select_core
+        self.check_sums(t_ns)
 
     def _accrue(self, t0_ns, t1_ns):
         if self.batch_events is not None:  # the first batch, at t = 0, has not run yet
@@ -478,6 +485,13 @@ def harmonic_instance(seed, m):
     return task_set, ltf_partition(task_set, m)
 
 
+def harmonic_config(params, power_table, seed, m):
+    """Traced ``la_realloc`` run of 400 ms for ``harmonic_instance``."""
+    return SimConfig(params=params, cores=m, duration_ms=400.0,
+                     cc_mean_ratio=(0.2, 0.5, 0.8)[seed % 3], policy=PolicyKind.LA_REALLOC,
+                     seed=seed, power_table=power_table, collect_trace=True)
+
+
 class TestIncrementalState:
     SEEDS = range(1, 21)
 
@@ -504,10 +518,7 @@ class TestIncrementalState:
         commits = loads = selects = 0
         for seed in self.SEEDS:
             task_set, assignment = harmonic_instance(seed, m)
-            cfg = SimConfig(params=params, cores=m, duration_ms=400.0,
-                            cc_mean_ratio=(0.2, 0.5, 0.8)[seed % 3],
-                            policy=PolicyKind.LA_REALLOC, seed=seed,
-                            power_table=power_table, collect_trace=True)
+            cfg = harmonic_config(params, power_table, seed, m)
             sim = CheckedSimulator(cfg, task_set, assignment)
             ledger, trace = sim.run()
             plain_ledger, plain_trace = run(cfg, task_set, assignment)
@@ -519,6 +530,28 @@ class TestIncrementalState:
             loads += sim.loads
             selects += sim.selects
         assert commits > 0 and loads >= selects >= commits
+
+
+SUM_EVENTS = {"release", "realloc", "complete"}
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 8])
+def test_harmonic_speed_is_set_once_per_instant(params, power_table, m):
+    """After the starting speed, an instant has at most one speed_change
+    row: after every row that moves the sums (release, reallocation,
+    completion) and before its wakes and dispatches."""
+    for seed in TestIncrementalState.SEEDS:
+        task_set, assignment = harmonic_instance(seed, m)
+        _, trace = run(harmonic_config(params, power_table, seed, m), task_set, assignment)
+        first = [row[2] for row in trace].index("speed_change")
+        instants = {}
+        for t_ns, _core, event, _task, _detail in trace[first + 1:]:
+            instants.setdefault(t_ns, []).append(event)
+        for t_ns, events in instants.items():
+            if "speed_change" in events:
+                k = events.index("speed_change")
+                assert set(events[:k]) <= SUM_EVENTS, (seed, t_ns, events)
+                assert not {"speed_change", *SUM_EVENTS} & set(events[k + 1:]), (seed, t_ns)
 
 
 class TestBacklogGuard:

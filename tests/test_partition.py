@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from coresleep.partition import PartitionError, ltf_partition, write_assignment_csv
+from coresleep.partition import PartitionError, ltf_partition
 from coresleep.workload import TaskSet, generate_task_set, task_from_ms
 
 
@@ -60,10 +60,3 @@ def test_infeasible_rejected():
 def test_needs_a_core(motivational_tasks):
     with pytest.raises(PartitionError):
         ltf_partition(motivational_tasks, 0)
-
-
-def test_assignment_csv(tmp_path, motivational_tasks):
-    asg = ltf_partition(motivational_tasks, 2)
-    path = tmp_path / "assignment.csv"
-    write_assignment_csv(asg, path)
-    assert path.read_text().splitlines() == ["task_id,core", "1,0", "2,1", "3,1"]

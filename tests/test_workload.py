@@ -15,9 +15,7 @@ from coresleep.workload import (
     WorkloadError,
     draw_actual_ratio,
     generate_task_set,
-    read_task_set_csv,
     task_from_ms,
-    write_task_set_csv,
 )
 
 
@@ -150,18 +148,3 @@ class TestActualRatio:
             draw_actual_ratio(0.0, rng)
         with pytest.raises(WorkloadError):
             draw_actual_ratio(1.1, rng)
-
-
-def test_csv_round_trip(tmp_path):
-    ts = generate_task_set(9, 1.2, seed=77)
-    path = tmp_path / "tasks.csv"
-    write_task_set_csv(ts, path)
-    back = read_task_set_csv(path)
-    # periods are integer nanoseconds and survive exactly; the float worst
-    # case re-rounds through its decimal millisecond form (1 ulp)
-    assert [t.id for t in back] == [t.id for t in ts]
-    assert [t.period_ns for t in back] == [t.period_ns for t in ts]
-    for a, b in zip(ts, back):
-        assert b.wcet_ns == pytest.approx(a.wcet_ns, rel=1e-12)
-    header = path.read_text().splitlines()[0]
-    assert header == "id,period_ms,wcet_ms"
