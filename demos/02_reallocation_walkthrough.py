@@ -18,7 +18,7 @@ tasks = TaskSet(tasks=(
     task_from_ms(3, 2.0, 0.2),
 ))
 assignment = ltf_partition(tasks, 2)
-print("initial homes:", assignment.home, " per-core utilization:", assignment.core_utilization)
+print("core tasks:", assignment.core_tasks, " per-core utilization:", assignment.core_utilization)
 
 for policy in PolicyKind:
     cfg = SimConfig(

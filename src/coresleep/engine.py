@@ -167,22 +167,20 @@ class Simulator:
 
         self.cores = [Core(i) for i in range(config.cores)]
         self.runs = {}
-        # Every task of the set, and no other, has one home core, and
-        # core_tasks lists it there alone.
-        tasks, homes = {task.id: task for task in task_set}, assignment.home
+        # Every task of the set is on exactly one core, and no id is unknown.
+        tasks = {task.id: task for task in task_set}
         for core, task_ids in zip(self.cores, assignment.core_tasks):
             for task_id in sorted(task_ids):
-                if task_id not in tasks or task_id in self.runs or homes.get(task_id) != core.index:
-                    raise ValueError(f"task {task_id}, listed on core {core.index}, has home "
-                                     f"{homes.get(task_id)}, is listed twice or is not in the set")
+                if task_id not in tasks or task_id in self.runs:
+                    raise ValueError(f"task {task_id}, listed on core {core.index}, is listed "
+                                     f"twice or is not in the set")
                 self.runs[task_id] = TaskRun(tasks[task_id], core.index, config.seed)
                 core.members.append(self.runs[task_id])
             core.nexts = [0] * len(core.members)
             core.dyn_util = core.static_util = sum(run.full for run in core.members)
-        stray = sorted(tasks.keys() - self.runs.keys() | homes.keys() - tasks.keys())
-        if stray:
-            raise ValueError(f"task {stray[0]} has home {homes.get(stray[0])} but is not both "
-                             f"in the set and in core_tasks")
+        unplaced = sorted(tasks.keys() - self.runs.keys())
+        if unplaced:
+            raise ValueError(f"task {unplaced[0]} is on no core")
         # Largest dynamic sum over the cores, kept by _add_dyn_util.
         self.max_util = max(core.dyn_util for core in self.cores)
 

@@ -83,7 +83,7 @@ class SweepSpec:
     duration_ms: float = 10_000.0
     repetitions: int = 100
     base_seed: int = 1
-    max_partition_retries: int = MAX_PARTITION_RETRIES
+    max_partition_retries = MAX_PARTITION_RETRIES   # class constant: no caller sets it
 
     def __post_init__(self):
         if self.axis not in AXES:
@@ -115,7 +115,6 @@ class SweepSpec:
 
 @dataclass
 class ResultRow:
-    axis: str
     value: float
     policy: str
     energy_j: float
@@ -170,6 +169,8 @@ def _init_worker(spec, params, table):
 
 
 def _run_repetition(job):
+    """{policy: (energy, misses, wakes, failed sleeps)} of one (value index,
+    repetition) job, or None when it has no feasible instance."""
     value_index, rep = job
     spec: SweepSpec = _WORKER_CTX["spec"]
     value = spec.values[value_index]
@@ -179,7 +180,7 @@ def _run_repetition(job):
         seed, spec.n_range, u * m, m, spec.period_range_ms, spec.max_partition_retries
     )
     if instance is None:
-        return value_index, rep, None
+        return None
     task_set, assignment = instance
     out = {}
     for policy in POLICY_ORDER:
@@ -200,67 +201,54 @@ def _run_repetition(job):
             ledger.wake_count,
             ledger.failed_sleep_count,
         )
-    return value_index, rep, out
+    return out
 
 
 def run_sweep(spec: SweepSpec, params: PowerParams | None = None, workers: int = 1) -> SweepResult:
-    """Run the full sweep and aggregate per-policy means.
+    """Run the full sweep and aggregate per-policy means, each energy also
+    normalized to the leakage-aware DVS mean at the same axis value.
 
-    Repetitions are independent and may run in parallel; results are reduced
-    in (axis value, repetition) order so the outcome does not depend on the
-    worker count.
+    Repetitions are independent and may run in parallel; results come back in
+    job order and are summed in repetition order, so the outcome does not
+    depend on the worker count.
     """
     if workers < 1:
         raise SweepError(f"need at least one worker, got {workers}")
     params = params or default_power_params()
     table = PowerTable(params, derive_speeds(params))
 
-    jobs = [(vi, rep) for vi in range(len(spec.values)) for rep in range(spec.repetitions)]
+    reps = spec.repetitions
+    jobs = [(vi, rep) for vi in range(len(spec.values)) for rep in range(reps)]
     if workers > 1:
         with Pool(workers, initializer=_init_worker, initargs=(spec, params, table)) as pool:
             raw = pool.map(_run_repetition, jobs, chunksize=4)
     else:
         _init_worker(spec, params, table)
         raw = [_run_repetition(job) for job in jobs]
-    raw.sort(key=lambda item: (item[0], item[1]))
 
     rows: list[ResultRow] = []
     skipped: dict = {}
     for vi, value in enumerate(spec.values):
-        cells = [out for (i, _, out) in raw if i == vi and out is not None]
-        skipped[value] = spec.repetitions - len(cells)
+        cells = [out for out in raw[vi * reps:(vi + 1) * reps] if out is not None]
+        n = len(cells)
+        skipped[value] = reps - n
+        means = {}
         for policy in POLICY_ORDER:
-            if cells:
-                n = len(cells)
-                sums = [0.0, 0.0, 0.0, 0.0]
-                for out in cells:
-                    for k in range(4):
-                        sums[k] += out[policy.value][k]
-                energy, misses, wakes, failed = (s / n for s in sums)
-            else:
-                n = 0
-                energy = misses = wakes = failed = NAN
-            rows.append(ResultRow(
-                axis=spec.axis, value=value, policy=policy.value,
-                energy_j=energy, normalized=NAN,
-                misses=misses, wakes=wakes, failed_sleeps=failed, runs=n,
-            ))
-    result = SweepResult(spec=spec, rows=rows, skipped=skipped)
-    normalize(result)
-    return result
-
-
-def normalize(result: SweepResult) -> SweepResult:
-    """Divide each policy's mean energy by the leakage-aware DVS mean at the
-    same axis value."""
-    for value in result.spec.values:
-        ref = result.row(value, PolicyKind.LA_DVS)
-        if ref.runs and ref.energy_j == 0.0:
+            sums = [0.0, 0.0, 0.0, 0.0]
+            for out in cells:
+                for k, x in enumerate(out[policy.value]):
+                    sums[k] += x
+            means[policy] = [s / n for s in sums] if n else [NAN] * 4
+        ref = means[PolicyKind.LA_DVS][0]
+        if ref == 0.0:
             raise SweepError(f"degenerate configuration: zero energy at {value}")
         for policy in POLICY_ORDER:
-            row = result.row(value, policy)
-            row.normalized = row.energy_j / ref.energy_j if ref.runs else NAN
-    return result
+            energy, misses, wakes, failed = means[policy]
+            rows.append(ResultRow(
+                value=value, policy=policy.value, energy_j=energy, normalized=energy / ref,
+                misses=misses, wakes=wakes, failed_sleeps=failed, runs=n,
+            ))
+    return SweepResult(spec=spec, rows=rows, skipped=skipped)
 
 
 def emit(result: SweepResult, path) -> None:
@@ -285,7 +273,7 @@ def emit(result: SweepResult, path) -> None:
     lines.append("axis,value,policy,energy_j,normalized,misses,wakes,failed_sleeps,runs")
     for row in result.rows:
         lines.append(
-            f"{row.axis},{row.value!r},{row.policy},{row.energy_j!r},{row.normalized!r},"
+            f"{spec.axis},{row.value!r},{row.policy},{row.energy_j!r},{row.normalized!r},"
             f"{row.misses!r},{row.wakes!r},{row.failed_sleeps!r},{row.runs}"
         )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

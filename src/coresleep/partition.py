@@ -17,9 +17,8 @@ class PartitionError(Exception):
 
 @dataclass(frozen=True)
 class Assignment:
-    """Initial home core of every task, plus the per-core static utilization."""
+    """Initial tasks of each core, plus the per-core static utilization."""
 
-    home: dict[int, int]
     core_tasks: tuple[tuple[int, ...], ...]
     core_utilization: tuple[float, ...]
 
@@ -40,7 +39,6 @@ def ltf_partition(task_set: TaskSet, m: int) -> Assignment:
     order = sorted(task_set, key=lambda t: (-t.utilization, t.id))
     load = [0.0] * m
     bins: list[list[int]] = [[] for _ in range(m)]
-    home: dict[int, int] = {}
     for task in order:
         j = min(range(m), key=lambda i: (load[i], i))
         if load[j] + task.utilization > 1.0 + _EPS:
@@ -49,9 +47,7 @@ def ltf_partition(task_set: TaskSet, m: int) -> Assignment:
             )
         load[j] += task.utilization
         bins[j].append(task.id)
-        home[task.id] = j
     return Assignment(
-        home=home,
         core_tasks=tuple(tuple(sorted(b)) for b in bins),
         core_utilization=tuple(load),
     )

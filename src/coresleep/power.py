@@ -22,13 +22,6 @@ class PowerModelError(ValueError):
     """Raised for out-of-range inputs or inconsistent technology constants."""
 
 
-_CONSTANT_KEYS = (
-    "c_eff", "l_g", "l_d",
-    "k1", "k2", "k3", "k4", "k5", "k6",
-    "vth1", "epsilon", "i_j", "v_bs",
-    "vdd_min", "vdd_max",
-)
-
 # Relative slack used on range checks so values produced by the numeric
 # inversion itself are never rejected at the interval endpoints.
 _REL_EPS = 1e-9
@@ -81,6 +74,9 @@ class PowerParams:
     def _overdrive(self, vdd: float) -> float:
         # vdd - vth with vth = vth1 - k1*vdd - k2*v_bs
         return vdd - self.vth1 + self.k1 * vdd + self.k2 * self.v_bs
+
+
+_CONSTANT_KEYS = tuple(f.name for f in fields(PowerParams))
 
 
 def load_power_params(path) -> PowerParams:

@@ -15,7 +15,7 @@ from coresleep.engine import (
 from coresleep.harness import _instance_for
 from coresleep.partition import Assignment, ltf_partition
 from coresleep.policies import PolicyKind
-from coresleep.power import total_power_at_speed
+from coresleep.power import sleep_threshold, total_power_at_speed
 from coresleep.workload import NS_PER_MS, Job, Task, TaskSet, task_from_ms, uunifast
 
 MS = NS_PER_MS
@@ -136,6 +136,30 @@ class TestMotivationalScenario:
         ledger, trace = run(cfg, motivational_tasks, motivational_assignment)
         oracle = integrate_trace_energy(trace, 16 * MS, 2, params, cfg.e_sw_j)
         assert ledger.total_j == pytest.approx(oracle, rel=1e-3)
+
+
+class TestIdlePowerReading:
+    """The model's idle-power reading (README, "Idle power"): the sleep
+    threshold divides E_sw by the power at the minimum speed, while an awake
+    idle core is charged the power at the global speed.  At the critical
+    speed and E_sw = 0.5 mJ a 2.5 ms gap lies between the break-even at that
+    speed (1.92 ms) and t_th (3.59 ms): the core stays awake for 0.65 mJ,
+    where sleeping would cost 0.5 mJ."""
+
+    def test_gap_below_threshold_stays_awake_at_global_speed_power(self, params, derived):
+        s, e_sw = derived.critical_scale, 5e-4
+        p_crit = total_power_at_speed(params, derived, s)
+        assert e_sw / p_crit < 2.5e-3 < sleep_threshold(params, derived, e_sw)
+        tasks = TaskSet(tasks=(task_from_ms(0, 10.0, 7.5 * s),))
+        cfg = SimConfig(params=params, cores=1, duration_ms=20.0, e_sw_j=e_sw,
+                        cc_mean_ratio=1.0, policy=PolicyKind.LA_DVS, collect_trace=True)
+        ledger, trace = run(cfg, tasks, ltf_partition(tasks, 1))
+        assert [t for (t, _c, ev, _x, _d) in trace if ev == "complete"] == [7_500_000, 17_500_000]
+        assert not any(ev == "sleep" for (_t, _c, ev, _x, _d) in trace)
+        assert ledger.failed_sleep_count == 2 and ledger.wake_count == 0
+        # Both gaps are charged P(s_crit); the power table's interpolation
+        # error puts the ledger 5.2e-9 relative from the closed form.
+        assert ledger.idle_j[0] == pytest.approx(2 * p_crit * 2.5e-3, rel=1e-8)
 
 
 class TestDeterminism:
@@ -322,18 +346,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             Simulator(cfg, motivational_tasks, motivational_assignment)
 
-    # The motivational partition is home {1: 0, 2: 1, 3: 1}.
-    @pytest.mark.parametrize("home, core_tasks, task", [
-        ({1: 0, 3: 1}, ((1,), (3,)), 2),                      # a task without a home
-        ({1: 0, 2: 5, 3: 1}, ((1,), (2, 3)), 2),              # a home outside the cores
-        ({1: 0, 2: 1, 3: 1, 7: 0}, ((1, 7), (2, 3)), 7),      # an id not in the task set
-        ({1: 0, 2: 1, 3: 1}, ((1, 3), (2, 3)), 3),            # core_tasks lists it twice
-        ({1: 0, 2: 1, 3: 1}, ((1, 2), (3,)), 2),              # core_tasks disagrees with home
+    # The motivational partition is core_tasks ((1,), (2, 3)).
+    @pytest.mark.parametrize("core_tasks, task", [
+        pytest.param(((1,), (3,)), 2, id="task-on-no-core"),
+        pytest.param(((1, 7), (2, 3)), 7, id="id-not-in-task-set"),
+        pytest.param(((1, 3), (2, 3)), 3, id="task-listed-twice"),
     ])
     def test_assignment_must_match_task_set(self, params, motivational_tasks,
-                                            motivational_assignment, home, core_tasks, task):
-        assert motivational_assignment.home == {1: 0, 2: 1, 3: 1}
-        bad = Assignment(home=home, core_tasks=core_tasks, core_utilization=(0.0, 0.0))
+                                            motivational_assignment, core_tasks, task):
+        assert motivational_assignment.core_tasks == ((1,), (2, 3))
+        bad = Assignment(core_tasks=core_tasks, core_utilization=(0.0, 0.0))
         with pytest.raises(ValueError, match=f"task {task}"):
             Simulator(SimConfig(params=params, cores=2), motivational_tasks, bad)
 
@@ -395,14 +417,16 @@ def check_due(core, t_ns):
 class CheckedSimulator(Simulator):
     """Checks the engine's incremental state against a full rescan: every
     core's utilization sums and the tracked largest sum after each
-    reallocation attempt, each completion and each batch's speed
-    recompute, the pending load handed to ``compute_dt_ns`` (bit for bit) and
-    every option handed to ``select_core``, and between event batches the
-    largest sum, each core's next release and due instant, that no core would
-    act if it were dispatched, and that the batch handled an event.  The last
-    check but one reads numbers, not engine flags: an awake idle core's gap to
-    its next release against the sleep threshold, and a running core's due
-    instant against its remaining work at the current speed."""
+    reallocation attempt, each completion and each batch's speed recompute;
+    after each recompute, that the speed is the policy's rule applied to the
+    largest sum re-summed from the members' terms; the pending load handed
+    to ``compute_dt_ns`` (bit for bit) and every option handed to
+    ``select_core``; and between event batches the largest sum, each core's
+    next release and due instant, that no core would act if it were
+    dispatched, and that the batch handled an event.  The last check but one
+    reads numbers, not engine flags: an awake idle core's gap to its next
+    release against the sleep threshold, and a running core's due instant
+    against its remaining work at the current speed."""
 
     loads = selects = 0
     batch_events = None   # events the current batch handled; None before the first
@@ -423,6 +447,9 @@ class CheckedSimulator(Simulator):
     def _recompute_speed(self, t_ns):
         changed = super()._recompute_speed(t_ns)
         self.check_sums(t_ns)
+        u_max = max(sum(run.term for run in core.members) for core in self.cores)
+        assert self.speed == policies.policy_speed(
+            self.cfg.policy, u_max / UTIL_UNIT, self.min_scale, self.critical_scale), t_ns
         return changed
 
     def check_sums(self, t_ns):
@@ -644,7 +671,7 @@ def speed_moving_instance(params, power_table, t_th_ms):
     threshold) or awake and idle (long threshold) through those changes."""
     task_set = TaskSet(tasks=(task_from_ms(0, 2.0, 1.0), task_from_ms(1, 20.0, 1.0)))
     assignment = ltf_partition(task_set, 2)
-    assert assignment.home == {0: 0, 1: 1}
+    assert assignment.core_tasks == ((0,), (1,))
     cfg = SimConfig(params=params, cores=2, duration_ms=100.0, cc_mean_ratio=0.5,
                     policy=PolicyKind.PURE_DVS, seed=1, power_table=power_table,
                     t_th_ms_override=t_th_ms, collect_trace=True)

@@ -1,15 +1,15 @@
+import dataclasses
 import math
 
 import pytest
 
+from coresleep import harness
 from coresleep.harness import (
     POLICY_ORDER,
-    ResultRow,
     SweepError,
     SweepResult,
     SweepSpec,
     emit,
-    normalize,
     run_single,
     run_sweep,
 )
@@ -76,6 +76,12 @@ class TestSpecValidation:
     def test_duration(self, duration):
         with pytest.raises(SweepError):
             tiny_spec(duration_ms=duration)
+
+    def test_partition_retries_are_a_constant(self):
+        assert "max_partition_retries" not in {f.name for f in dataclasses.fields(SweepSpec)}
+        assert tiny_spec().max_partition_retries == 50
+        with pytest.raises(TypeError):
+            tiny_spec(max_partition_retries=5)
 
     def test_fixed_for_applies_axis(self):
         spec = tiny_spec(axis="E_sw", values=(1e-4, 2e-4))
@@ -203,24 +209,25 @@ class TestEmit:
 
 
 class TestNormalize:
-    def test_zero_reference_energy_rejected(self):
-        spec = SweepSpec(axis="U", values=(0.2,), repetitions=1)
-        rows = [
-            ResultRow("U", 0.2, p.value, 0.0, float("nan"), 0.0, 0.0, 0.0, 3)
-            for p in POLICY_ORDER
-        ]
-        result = SweepResult(spec=spec, rows=rows, skipped={0.2: 0})
-        with pytest.raises(SweepError):
-            normalize(result)
+    """The reduce divides each policy's mean energy by the la_dvs mean at the
+    same axis value; repetitions are stubbed with fixed energies."""
 
-    def test_ratio(self):
-        spec = SweepSpec(axis="U", values=(0.2,), repetitions=1)
-        rows = [
-            ResultRow("U", 0.2, "pure_dvs", 1.0, float("nan"), 0, 0, 0, 1),
-            ResultRow("U", 0.2, "la_dvs", 2.0, float("nan"), 0, 0, 0, 1),
-            ResultRow("U", 0.2, "la_realloc", 3.0, float("nan"), 0, 0, 0, 1),
-        ]
-        result = normalize(SweepResult(spec=spec, rows=rows, skipped={0.2: 0}))
+    @staticmethod
+    def sweep(monkeypatch, params, energies):
+        def repetition(job):
+            _vi, rep = job
+            return {p.value: (e * (rep + 1), 0, 0, 0) for p, e in zip(POLICY_ORDER, energies)}
+        monkeypatch.setattr(harness, "_run_repetition", repetition)
+        spec = SweepSpec(axis="U", values=(0.2,), repetitions=2)
+        return run_sweep(spec, params=params, workers=1)
+
+    def test_zero_reference_energy_rejected(self, monkeypatch, params):
+        with pytest.raises(SweepError, match="zero energy at 0.2"):
+            self.sweep(monkeypatch, params, (1.0, 0.0, 1.0))
+
+    def test_ratio(self, monkeypatch, params):
+        result = self.sweep(monkeypatch, params, (1.0, 2.0, 3.0))
+        assert [r.energy_j for r in result.rows] == [1.5, 3.0, 4.5]
         assert [r.normalized for r in result.rows] == [0.5, 1.0, 1.5]
 
 

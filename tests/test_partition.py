@@ -8,7 +8,6 @@ from coresleep.workload import TaskSet, generate_task_set, task_from_ms
 
 def test_motivational_example(motivational_tasks):
     asg = ltf_partition(motivational_tasks, 2)
-    assert asg.home == {1: 0, 2: 1, 3: 1}
     assert asg.core_tasks == ((1,), (2, 3))
     assert asg.core_utilization == pytest.approx((0.3, 0.2), abs=1e-12)
 
