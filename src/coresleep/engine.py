@@ -4,11 +4,11 @@ Per-core preemptive EDF dispatch, a single global speed shared by all cores,
 sleep-state management with a break-even threshold, wake-up switching energy,
 and exact piecewise-constant energy integration between events.
 
-Only releases wait in the event heap.  Each core holds its one pending
-completion or wake instant itself.  Equal-time events are handled releases
-first (by task id), then completions, then wakes (each by core index);
-together with integer-nanosecond timestamps this makes every run
-bit-reproducible.
+Only releases wait in the event heap.  Each running core holds its one
+pending completion instant itself.  Equal-time events are handled releases
+first (by task id), then completions (by core index); then each sleeping core
+the batch left with ready work wakes, by core index.  Together with
+integer-nanosecond timestamps this makes every run bit-reproducible.
 """
 
 from __future__ import annotations
@@ -73,7 +73,8 @@ class Core:
         self.state = ACTIVE
         self.running = None
         self.dyn_util = self.static_util = 0   # members' Σ term and Σ full
-        # The running job's completion while active, the wake while asleep.
+        # The running job's completion; a sleeping core holds none, and wakes
+        # when a batch leaves ready work on it.
         self.due_ns = NEVER
 
 
@@ -298,22 +299,12 @@ class Simulator:
         self._trace(t_ns, core.index, "complete", job.task_id)
 
     def _wake(self, core: Core, t_ns):
-        if core.ready:
-            core.state = ACTIVE
-            core.due_ns = NEVER
-            self._touched.add(core.index)
-            self.ledger.wake_count += 1
-            # kept as the exact product, not a running float sum
-            self.ledger.switch_j = self.ledger.wake_count * self.cfg.e_sw_j
-            self._trace(t_ns, core.index, "wake")
-        else:
-            # The job this wake was scheduled for moved to another core;
-            # stay asleep until the queue's next release, at no cost.
-            core.due_ns = core.nexts[0] if core.nexts else NEVER
+        core.state = ACTIVE
+        self.ledger.wake_count += 1
+        self._trace(t_ns, core.index, "wake")
 
-    def _sleep(self, core: Core, t_ns, wake_at_ns):
+    def _sleep(self, core: Core, t_ns):
         core.state = SLEEPING
-        core.due_ns = wake_at_ns
         # A sleeping core must not receive reallocated tasks.
         self.realloc_candidates.discard(core.index)
         self._trace(t_ns, core.index, "sleep")
@@ -324,7 +315,7 @@ class Simulator:
         active-idle at the global speed and record the failed sleep."""
         nxt = core.nexts[0] if core.nexts else NEVER
         if nxt - t_ns >= self.t_th_ns:
-            self._sleep(core, t_ns, nxt)
+            self._sleep(core, t_ns)
         else:
             self.ledger.failed_sleep_count += 1
 
@@ -441,7 +432,7 @@ class Simulator:
             heapq.heappush(heap, (0, task_id, self.runs[task_id]))
         for core in self.cores:
             if not core.members:
-                self._sleep(core, 0, NEVER)
+                self._sleep(core, 0)
         self._recompute_speed(0)
 
         is_realloc = self.cfg.policy is PolicyKind.LA_REALLOC
@@ -467,33 +458,38 @@ class Simulator:
                 if is_realloc:
                     for run in released:
                         self._reallocate(run, t)
-            # Releases move no core's due instant, and a completion or a wake
-            # moves only its own core's, never back to t.
+            # Releases move no core's due instant, and a completion moves
+            # only its own core's, never back to t.
             if due == t:
                 for core in cores:
-                    if core.due_ns == t and core.state == ACTIVE:
+                    if core.due_ns == t:
                         self._complete(core, t)
             # The batch's one speed: every dispatch below times completions
             # at it, and it is charged up to the next batch.  Wakes leave the
             # sums alone.
             speed_changed = self._recompute_speed(t)
-            if due == t:
-                for core in cores:
-                    if core.due_ns == t and core.state == SLEEPING:
-                        self._wake(core, t)
             # An untouched core is asleep, idle with its sleep decision made,
             # or running its EDF pick; only the last depends on the speed.
             if speed_changed:
                 touched.update(core.index for core in cores if core.running is not None)
-            for i in sorted(touched):
-                self._dispatch(cores[i], t, speed_changed)
+            batch = sorted(touched)
             touched.clear()
+            # A sleeping core gets work only from a release on it, at its next
+            # release; when all of it shifted away it sleeps on at no cost.
+            for i in batch:
+                core = cores[i]
+                if core.state == SLEEPING and core.ready:
+                    self._wake(core, t)
+            for i in batch:
+                self._dispatch(cores[i], t, speed_changed)
 
         self._accrue(t_now, duration)
         # Completions landing exactly on the horizon still count as on time.
         for core in cores:
-            if core.due_ns == duration and core.state == ACTIVE:
+            if core.due_ns == duration:
                 self._complete(core, duration)
+        # kept as the exact product, not a running float sum
+        self.ledger.switch_j = self.ledger.wake_count * self.cfg.e_sw_j
         for core in self.cores:
             for job in core.ready:
                 if job.deadline_ns <= duration:

@@ -59,6 +59,21 @@ def motivational_config(params, policy, duration_ms=16.0, collect_trace=True):
     )
 
 
+def idle_gaps_between_jobs(trace, core):
+    """Gaps between a completion and the next start on one core."""
+    events = [(t, ev) for (t, c, ev, _task, _d) in trace if c == core and ev in ("start", "complete")]
+    gaps = []
+    last_complete = None
+    for t, ev in events:
+        if ev == "start":
+            if last_complete is not None:
+                gaps.append(t - last_complete)
+                last_complete = None
+        else:
+            last_complete = t
+    return gaps
+
+
 def next_release(task, t_ns):
     """First release of ``task`` strictly after ``t_ns``."""
     return (t_ns // task.period_ns) * task.period_ns + task.period_ns

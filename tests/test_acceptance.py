@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from conftest import motivational_config
+from conftest import idle_gaps_between_jobs, motivational_config
 from dense_oracle import integrate_trace_energy
 
 from coresleep.engine import SimConfig, run
@@ -66,15 +66,7 @@ def test_criterion_2_golden_trace(params, motivational_tasks, motivational_assig
     led_b, trace_b = run(motivational_config(params, PolicyKind.LA_DVS),
                          motivational_tasks, motivational_assignment)
     speeds_b = [(t, float(d)) for (t, _c, ev, _x, d) in trace_b if ev == "speed_change"]
-    events_b = [(t, ev) for (t, c, ev, _x, _d) in trace_b if c == 0 and ev in ("start", "complete")]
-    gaps = []
-    last = None
-    for t, ev in events_b:
-        if ev == "start" and last is not None:
-            gaps.append(t - last)
-            last = None
-        elif ev == "complete":
-            last = t
+    gaps = idle_gaps_between_jobs(trace_b, 0)
     ok_b = (
         speeds_b == [(0, 0.4)]
         and led_b.wake_count == 0

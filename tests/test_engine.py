@@ -1,9 +1,11 @@
 import random
+from itertools import groupby
 
 import pytest
 
 from conftest import (
-    compute_load_ns, core_next_release_ns, core_static_utilization, motivational_config,
+    compute_load_ns, core_next_release_ns, core_static_utilization, idle_gaps_between_jobs,
+    motivational_config,
 )
 from dense_oracle import integrate_trace_energy
 
@@ -21,19 +23,25 @@ from coresleep.workload import NS_PER_MS, Job, Task, TaskSet, task_from_ms, uuni
 MS = NS_PER_MS
 
 
-def idle_gaps_between_jobs(trace, core):
-    """Gaps between a completion and the next start on one core."""
-    events = [(t, ev) for (t, c, ev, _task, _d) in trace if c == core and ev in ("start", "complete")]
-    gaps = []
-    last_complete = None
-    for t, ev in events:
-        if ev == "start":
-            if last_complete is not None:
-                gaps.append(t - last_complete)
-                last_complete = None
-        else:
-            last_complete = t
-    return gaps
+def wake_rule_violations(trace):
+    """The wake rule, read from the trace alone: a core has a ``wake`` row at
+    t exactly when it was asleep before t and kept a job released on it at t
+    (no ``realloc`` row at t moved that job away).  Returns each (t, core)
+    with a missing or an extra wake."""
+    asleep, violations = set(), []
+    for t, rows in groupby(trace, key=lambda row: row[0]):
+        rows = list(rows)
+        kept = {(c, task) for (_t, c, ev, task, _d) in rows if ev == "release"}
+        kept -= {(int(d.split("=")[1]), task) for (_t, _c, ev, task, d) in rows if ev == "realloc"}
+        due = {c for c, _task in kept if c in asleep}
+        woke = {c for (_t, c, ev, _x, _d) in rows if ev == "wake"}
+        violations += [(t, c) for c in sorted(due ^ woke)]
+        for _t, c, ev, _x, _d in rows:
+            if ev == "sleep":
+                asleep.add(c)
+            elif ev == "wake":
+                asleep.discard(c)
+    return violations
 
 
 class TestEdfPick:
@@ -252,9 +260,10 @@ class TestJobIntegrity:
 class TestShiftOffSleepingCore:
     def test_stale_wake_charges_nothing(self, params, power_table):
         """A job released on a sleeping core can be reallocated away in the
-        same instant; the pending wake then finds no work and the core keeps
-        sleeping without paying the switching energy.  Seed 26 hits this
-        four times; the dense-integration oracle confirms the accounting."""
+        same instant; the core is then left without work and keeps sleeping,
+        with no wake row and no switching energy.  Seed 26 hits this four
+        times: the wake rule holds on the trace, and the dense-integration
+        oracle confirms the accounting."""
         from coresleep.workload import generate_task_set
 
         ts = generate_task_set(6, 0.3, seed=26)
@@ -274,6 +283,7 @@ class TestShiftOffSleepingCore:
             elif ev == "realloc" and asleep.get(int(detail.split("=")[1])):
                 shifts_off_sleeping += 1
         assert shifts_off_sleeping == 4
+        assert wake_rule_violations(trace) == []
 
         wake_rows = sum(1 for (_t, _c, ev, _x, _d) in trace if ev == "wake")
         assert wake_rows == ledger.wake_count
@@ -402,12 +412,12 @@ def check_max_util(sim, t_ns):
 
 
 def check_due(core, t_ns):
-    """A core's due instant fits its state: the wake at its next release (or
-    never) while asleep, the running job's completion no earlier than now
-    while running, never while idle."""
+    """A core's due instant fits its state: the running job's completion no
+    earlier than now while running, never otherwise; and a sleeping core has
+    no ready work, since a batch that leaves work on it wakes it."""
     where = (t_ns, core.index)
     if core.state == SLEEPING:
-        assert core.due_ns == (core.nexts[0] if core.nexts else NEVER), where
+        assert core.due_ns == NEVER and not core.ready, where
     elif core.running is not None:
         assert t_ns <= core.due_ns < NEVER, where
     else:
@@ -422,11 +432,12 @@ class CheckedSimulator(Simulator):
     largest sum re-summed from the members' terms; the pending load handed
     to ``compute_dt_ns`` (bit for bit) and every option handed to
     ``select_core``; and between event batches the largest sum, each core's
-    next release and due instant, that no core would act if it were
-    dispatched, and that the batch handled an event.  The last check but one
-    reads numbers, not engine flags: an awake idle core's gap to its next
-    release against the sleep threshold, and a running core's due instant
-    against its remaining work at the current speed."""
+    next release and due instant (never while asleep, with an empty queue),
+    that no core would act if it were dispatched, and that the batch handled
+    an event.  The last check but one reads numbers, not engine flags: an
+    awake idle core's gap to its next release against the sleep threshold,
+    and a running core's due instant against its remaining work at the
+    current speed."""
 
     loads = selects = 0
     batch_events = None   # events the current batch handled; None before the first
@@ -551,6 +562,7 @@ class TestIncrementalState:
             plain_ledger, plain_trace = run(cfg, task_set, assignment)
             assert trace == plain_trace and ledger.total_j == plain_ledger.total_j
             assert ledger.deadline_miss_count == 0
+            assert wake_rule_violations(trace) == [], seed
             for _u_st, _u_dy, _u_src, s_before, s_after in ledger.realloc_checks:
                 assert s_after <= s_before + 1e-12
             commits += ledger.realloc_count
@@ -614,8 +626,8 @@ class TestBacklogGuard:
 
 
 class StrayWake(Simulator):
-    """At its first completion, moves another core's due instant to one
-    nanosecond before it."""
+    """At its first completion, moves another core's completion instant to
+    one nanosecond before it."""
 
     moved = False
 
