@@ -1,7 +1,7 @@
 """Energy-aware partitioned EDF scheduling simulator for multicores with
 global DVS, core sleep states, and run-time task reallocation."""
 
-from .engine import EnergyLedger, SimConfig, Simulator, edf_pick, run, write_trace_csv
+from .engine import EnergyLedger, SimConfig, Simulator, run, write_trace_csv
 from .harness import SweepSpec, SweepResult, emit, run_single, run_sweep
 from .partition import Assignment, PartitionError, ltf_partition
 from .policies import PolicyKind, policy_speed

@@ -4,8 +4,19 @@ Per-core preemptive EDF dispatch, a single global speed shared by all cores,
 sleep-state management with a break-even threshold, wake-up switching energy,
 and exact piecewise-constant energy integration between events.
 
-Only releases wait in the event heap.  Each running core holds its one
-pending completion instant itself.  Equal-time events are handled releases
+All running cores run at the one global speed, so the engine keeps two
+clocks instead of per-core progress: a work clock W (the integral of the
+speed over time) and an energy clock E (the integral of the power one awake
+core draws).  Each batch of equal-time events advances both in O(1).  A
+running core holds the value of W at which its job ends, and a completion
+heap orders those values, so a speed change re-times no core: the next
+completion instant is t + round((due_w - W) / speed), timed from the latest
+batch.  When an awake core's state changes (a start from idle, a
+completion, a sleep, the end of the run) it charges the energy clock's
+advance since that state began to its busy or idle energy; a wake starts
+the count anew.
+
+Releases wait in the event heap.  Equal-time events are handled releases
 first (by task id), then completions (by core index); then each sleeping core
 the batch left with ready work wakes, by core index.  Together with
 integer-nanosecond timestamps this makes every run bit-reproducible.
@@ -62,20 +73,23 @@ class TaskRun:
 class Core:
     __slots__ = (
         "index", "members", "nexts", "ready", "state", "running", "dyn_util", "static_util",
-        "due_ns",
+        "due_w", "since_j",
     )
 
     def __init__(self, index):
         self.index = index
         self.members = []          # TaskRun list, sorted by task id
         self.nexts = []            # heap of the members' next release instants
-        self.ready = []            # released unfinished jobs (running included)
+        # heap of (deadline, task id, job) of the released unfinished jobs
+        # (running included): the EDF pick is the top
+        self.ready = []
         self.state = ACTIVE
         self.running = None
         self.dyn_util = self.static_util = 0   # members' Σ term and Σ full
-        # The running job's completion; a sleeping core holds none, and wakes
-        # when a batch leaves ready work on it.
-        self.due_ns = NEVER
+        # The work clock's value at the running job's end; NEVER otherwise.
+        self.due_w = NEVER
+        # The energy clock's value when the core's busy or idle state began.
+        self.since_j = 0.0
 
 
 @dataclass
@@ -141,13 +155,6 @@ class SimConfig:
             raise ValueError("sleep threshold override must be finite and nonnegative")
 
 
-def edf_pick(jobs):
-    """Ready job with the earliest deadline; ties by smaller task id."""
-    if not jobs:
-        return None
-    return min(jobs, key=lambda jb: (jb.deadline_ns, jb.task_id))
-
-
 class Simulator:
     def __init__(self, config: SimConfig, task_set: TaskSet, assignment: Assignment):
         if assignment.cores != config.cores:
@@ -194,6 +201,12 @@ class Simulator:
         )
         self.trace = [] if config.collect_trace else None
         self._heap: list = []
+        # The clocks: work done at the global speed, and energy one awake
+        # core draws, both since t = 0.
+        self.work = self.energy = 0.0
+        # Heap of (due_w, core index) per dispatch; an entry is stale once its
+        # core's due_w differs (the job was preempted or has completed).
+        self._due: list = []
         self._speed_cache = (-1, 0.0)   # (max_util, the policy's speed for it)
         # Core indices an event of the current batch changed (to dispatch).
         self._touched = set()
@@ -229,33 +242,51 @@ class Simulator:
         return s
 
     def _recompute_speed(self, t_ns):
-        """Set the speed and its power for the current sums; True when the
-        speed changed."""
+        """Set the speed and its power for the current sums."""
         s = self._speed_of_sums()
-        if s == self.speed:
-            return False
-        self.speed = s
-        self.power = self.table.power(s)
-        if self.trace is not None:
-            self.trace.append((t_ns, None, "speed_change", None, repr(s)))
-        return True
+        if s != self.speed:
+            self.speed = s
+            self.power = self.table.power(s)
+            if self.trace is not None:
+                self.trace.append((t_ns, None, "speed_change", None, repr(s)))
 
     def _accrue(self, t0_ns, t1_ns):
+        """Advance both clocks over [t0, t1] at the current speed."""
         dt = t1_ns - t0_ns
-        if dt <= 0:
-            return
-        energy = self.power * dt * 1e-9
-        work = dt * self.speed
-        busy = self.ledger.busy_j
-        idle = self.ledger.idle_j
-        for core in self.cores:
-            if core.state == ACTIVE:
-                job = core.running
-                if job is not None:
-                    busy[core.index] += energy
-                    job.remaining_ns -= work
-                else:
-                    idle[core.index] += energy
+        if dt > 0:
+            self.work += dt * self.speed
+            self.energy += self.power * dt * 1e-9
+
+    def _settle(self, core: Core):
+        """Charge an awake core's energy since its state began to busy or
+        idle, and start counting anew."""
+        spent = self.energy - core.since_j
+        if core.running is None:
+            self.ledger.idle_j[core.index] += spent
+        else:
+            self.ledger.busy_j[core.index] += spent
+        core.since_j = self.energy
+
+    def _take_due(self, dt_ns, work0):
+        """Pop the completions that end ``dt_ns`` after the previous batch,
+        timed from the work clock ``work0`` there; returns their core indices
+        in order."""
+        due_heap, cores, speed = self._due, self.cores, self.speed
+        # The first entry is pending and due: the caller timed it.
+        found = [heapq.heappop(due_heap)[1]]
+        while due_heap:
+            due_w, i = due_heap[0]
+            core = cores[i]
+            if core.due_w == due_w:
+                if int((due_w - work0) / speed + 0.5) != dt_ns:
+                    break
+                # A job preempted by one that ends at once resumes with its
+                # due_w unchanged, so its entry can be there twice.
+                if i not in found:
+                    found.append(i)
+            heapq.heappop(due_heap)
+        found.sort()
+        return found
 
     # -- state transitions ---------------------------------------------------
 
@@ -267,7 +298,7 @@ class Simulator:
             raise EngineError(f"release of task {task.id} at {t_ns} expected {job.arrival_ns}")
         run.next_index += 1
         core = self.cores[run.core]
-        core.ready.append(job)
+        heapq.heappush(core.ready, (job.deadline_ns, task.id, job))
         self._add_dyn_util(core, run.full - run.term)
         run.term = run.full
         self._touched.add(core.index)
@@ -281,9 +312,17 @@ class Simulator:
 
     def _complete(self, core: Core, t_ns):
         job = core.running
-        core.ready.remove(job)
+        ready = core.ready
+        if ready[0][2] is job:
+            heapq.heappop(ready)
+        else:
+            # A release of this batch put an earlier deadline on top.
+            ready.remove((job.deadline_ns, job.task_id, job))
+            heapq.heapify(ready)
+        self.ledger.busy_j[core.index] += self.energy - core.since_j
+        core.since_j = self.energy
         core.running = None
-        core.due_ns = NEVER
+        core.due_w = NEVER
         run = self.runs[job.task_id]
         run.last_completed_arrival = job.arrival_ns
         run.last_cc_ns = job.cc_ns
@@ -300,10 +339,12 @@ class Simulator:
 
     def _wake(self, core: Core, t_ns):
         core.state = ACTIVE
+        core.since_j = self.energy
         self.ledger.wake_count += 1
         self._trace(t_ns, core.index, "wake")
 
     def _sleep(self, core: Core, t_ns):
+        self._settle(core)
         core.state = SLEEPING
         # A sleeping core must not receive reallocated tasks.
         self.realloc_candidates.discard(core.index)
@@ -319,26 +360,31 @@ class Simulator:
         else:
             self.ledger.failed_sleep_count += 1
 
-    def _dispatch(self, core: Core, t_ns, speed_changed):
+    def _dispatch(self, core: Core, t_ns):
         """Bring a core up to date after a batch: an idle core gets its sleep
-        decision, a busy core runs its EDF pick, timed anew when the pick
-        changed or ``speed_changed``."""
+        decision, a busy core runs its EDF pick, due when the work clock has
+        advanced by the pick's remaining work."""
         if core.state == SLEEPING:
             return
-        job = edf_pick(core.ready)
-        if job is None:
+        ready = core.ready
+        if not ready:
             self.on_core_idle(core, t_ns)
             return
-        if job is core.running and not speed_changed:
+        job = ready[0][2]
+        running = core.running
+        if job is running:
             return
-        if core.running is not None and core.running is not job:
-            self._trace(t_ns, core.index, "preempt", core.running.task_id)
-        if core.running is not job:
-            self._trace(t_ns, core.index, "start", job.task_id)
+        if running is None:
+            # idle up to now (nothing when a job completed in this batch)
+            self.ledger.idle_j[core.index] += self.energy - core.since_j
+            core.since_j = self.energy
+        else:
+            running.remaining_ns = core.due_w - self.work
+            self._trace(t_ns, core.index, "preempt", running.task_id)
+        self._trace(t_ns, core.index, "start", job.task_id)
         core.running = job
-        # Completion instants are rounded to the nearest nanosecond; the
-        # sub-nanosecond work residue is dropped with the completed job.
-        core.due_ns = t_ns + max(0, int(job.remaining_ns / self.speed + 0.5))
+        core.due_w = due_w = self.work + job.remaining_ns
+        heapq.heappush(self._due, (due_w, core.index))
 
     # -- reallocation ----------------------------------------------------------
 
@@ -355,7 +401,7 @@ class Simulator:
         moved = None
         backlog = False
         pending = []
-        for job in home.ready:
+        for _deadline, _task_id, job in home.ready:
             if job.task_id == task.id:
                 if job.arrival_ns == t_ns:
                     moved = job
@@ -391,11 +437,13 @@ class Simulator:
         # The speed this instant gives without the move; other releases at
         # t_ns may already have raised it above self.speed.
         speed_before = self._speed_of_sums()
-        src.ready.remove(moved)
+        entry = (moved.deadline_ns, moved.task_id, moved)
+        src.ready.remove(entry)
+        heapq.heapify(src.ready)
         src.members.remove(run)
         dest.members.append(run)
         dest.members.sort(key=lambda r: r.task.id)
-        dest.ready.append(moved)
+        heapq.heappush(dest.ready, entry)
         run.core = dest.index
         # The task was released at t_ns, so its next release is t_ns + P.
         nxt = t_ns + run.task.period_ns
@@ -438,17 +486,30 @@ class Simulator:
         is_realloc = self.cfg.policy is PolicyKind.LA_REALLOC
         cores = self.cores
         touched = self._touched
+        due_heap = self._due
         heappop = heapq.heappop
         t_now = 0
         while True:
-            due = min([core.due_ns for core in cores])
+            # The next completion is the first entry still pending, timed from
+            # the latest batch (a running core's due_w is never behind the
+            # work clock); the sub-nanosecond residue of the rounding is
+            # dropped with the completed job.
+            while due_heap:
+                due_w, i = due_heap[0]
+                if cores[i].due_w == due_w:
+                    due = t_now + int((due_w - self.work) / self.speed + 0.5)
+                    break
+                heappop(due_heap)
+            else:
+                due = NEVER
             t = heap[0][0] if heap and heap[0][0] < due else due
             if t >= duration:
                 break
             if t < t_now:
                 raise EngineError(f"event at {t} after the batch at {t_now}")
+            work0 = self.work
             self._accrue(t_now, t)
-            t_now = t
+            dt, t_now = t - t_now, t
             if heap and heap[0][0] == t:
                 released = []
                 while heap and heap[0][0] == t:
@@ -458,20 +519,15 @@ class Simulator:
                 if is_realloc:
                     for run in released:
                         self._reallocate(run, t)
-            # Releases move no core's due instant, and a completion moves
-            # only its own core's, never back to t.
+            # Releases move no entry of the completion heap.
             if due == t:
-                for core in cores:
-                    if core.due_ns == t:
-                        self._complete(core, t)
-            # The batch's one speed: every dispatch below times completions
-            # at it, and it is charged up to the next batch.  Wakes leave the
-            # sums alone.
-            speed_changed = self._recompute_speed(t)
+                for i in self._take_due(dt, work0):
+                    self._complete(cores[i], t)
+            # The batch's one speed, charged up to the next batch.  Wakes leave
+            # the sums alone.
+            self._recompute_speed(t)
             # An untouched core is asleep, idle with its sleep decision made,
-            # or running its EDF pick; only the last depends on the speed.
-            if speed_changed:
-                touched.update(core.index for core in cores if core.running is not None)
+            # or running its EDF pick, whatever the speed.
             batch = sorted(touched)
             touched.clear()
             # A sleeping core gets work only from a release on it, at its next
@@ -481,17 +537,20 @@ class Simulator:
                 if core.state == SLEEPING and core.ready:
                     self._wake(core, t)
             for i in batch:
-                self._dispatch(cores[i], t, speed_changed)
+                self._dispatch(cores[i], t)
 
-        self._accrue(t_now, duration)
         # Completions landing exactly on the horizon still count as on time.
+        ending = self._take_due(duration - t_now, self.work) if due == duration else ()
+        self._accrue(t_now, duration)
+        for i in ending:
+            self._complete(cores[i], duration)
         for core in cores:
-            if core.due_ns == duration:
-                self._complete(core, duration)
+            if core.state == ACTIVE:
+                self._settle(core)
         # kept as the exact product, not a running float sum
         self.ledger.switch_j = self.ledger.wake_count * self.cfg.e_sw_j
         for core in self.cores:
-            for job in core.ready:
+            for _deadline, _task_id, job in core.ready:
                 if job.deadline_ns <= duration:
                     self.ledger.deadline_miss_count += 1
         return self.ledger, self.trace

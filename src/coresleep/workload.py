@@ -48,7 +48,9 @@ def task_from_ms(task_id: int, period_ms: float, wcet_ms: float) -> Task:
 
 class Job:
     """A released instance of a task.  ``remaining_ns`` is work left,
-    expressed as execution time at maximum speed."""
+    expressed as execution time at maximum speed, as of the job's release or
+    its latest preemption; while the job runs, the engine's work clock
+    tracks its progress instead."""
 
     __slots__ = ("task_id", "index", "arrival_ns", "deadline_ns", "cc_ns", "remaining_ns")
 

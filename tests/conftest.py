@@ -74,6 +74,14 @@ def idle_gaps_between_jobs(trace, core):
     return gaps
 
 
+def edf_pick(jobs):
+    """Reference for the engine's EDF pick, the top of a core's ready heap:
+    the job with the earliest deadline, ties by smaller task id."""
+    if not jobs:
+        return None
+    return min(jobs, key=lambda jb: (jb.deadline_ns, jb.task_id))
+
+
 def next_release(task, t_ns):
     """First release of ``task`` strictly after ``t_ns``."""
     return (t_ns // task.period_ns) * task.period_ns + task.period_ns

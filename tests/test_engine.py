@@ -1,18 +1,18 @@
+import heapq
 import random
 from itertools import groupby
 
 import pytest
 
 from conftest import (
-    compute_load_ns, core_next_release_ns, core_static_utilization, idle_gaps_between_jobs,
-    motivational_config,
+    compute_load_ns, core_next_release_ns, core_static_utilization, edf_pick,
+    idle_gaps_between_jobs, motivational_config,
 )
 from dense_oracle import integrate_trace_energy
 
 from coresleep import policies
 from coresleep.engine import (
-    NEVER, SLEEPING, UTIL_UNIT, EngineError, SimConfig, Simulator, edf_pick, run,
-    write_trace_csv,
+    NEVER, SLEEPING, UTIL_UNIT, EngineError, SimConfig, Simulator, run, write_trace_csv,
 )
 from coresleep.harness import _instance_for
 from coresleep.partition import Assignment, ltf_partition
@@ -373,15 +373,14 @@ class TestConfigValidation:
 def at_dispatch_fixed_point(sim, core, t_ns):
     """True when dispatching ``core`` at ``t_ns`` would change nothing: an
     awake idle core's gap to its next release is below the sleep threshold,
-    and a running core runs its EDF pick with its completion timed, to the
-    1 ns rounding, at the current speed."""
+    and a running core runs the reference EDF pick of its queue, which is
+    the top of its ready heap."""
     if core.state == SLEEPING:
         return True
-    job = edf_pick(core.ready)
+    job = edf_pick([entry[2] for entry in core.ready])
     if job is None:
         return core.running is None and bool(core.nexts) and core.nexts[0] - t_ns < sim.t_th_ns
-    return (job is core.running
-            and abs(core.due_ns - t_ns - job.remaining_ns / sim.speed) <= 1)
+    return job is core.running is core.ready[0][2]
 
 
 # The engine's sums, as floats, against the float re-sums of the policies
@@ -411,17 +410,28 @@ def check_max_util(sim, t_ns):
     assert sim.max_util == max(core.dyn_util for core in sim.cores), t_ns
 
 
-def check_due(core, t_ns):
-    """A core's due instant fits its state: the running job's completion no
-    earlier than now while running, never otherwise; and a sleeping core has
-    no ready work, since a batch that leaves work on it wakes it."""
+def check_due(sim, core, t_ns):
+    """A core's due work fits its state: while running, a finite value not
+    behind the work clock, with its entry in the completion heap; never
+    otherwise; and a sleeping core has no ready work, since a batch that
+    leaves work on it wakes it."""
     where = (t_ns, core.index)
     if core.state == SLEEPING:
-        assert core.due_ns == NEVER and not core.ready, where
+        assert core.due_w == NEVER and not core.ready, where
     elif core.running is not None:
-        assert t_ns <= core.due_ns < NEVER, where
+        assert sim.work <= core.due_w < NEVER, where
+        assert (core.due_w, core.index) in sim._due, where
     else:
-        assert core.due_ns == NEVER, where
+        assert core.due_w == NEVER, where
+
+
+def check_completion_heap(sim, t_ns):
+    """The first pending entry of the completion heap (one whose value is
+    still its core's due_w) holds the smallest due_w over the running
+    cores."""
+    pending = [due_w for due_w, i in sim._due if sim.cores[i].due_w == due_w]
+    running = [core.due_w for core in sim.cores if core.running is not None]
+    assert min(pending, default=NEVER) == min(running, default=NEVER), t_ns
 
 
 class CheckedSimulator(Simulator):
@@ -432,12 +442,13 @@ class CheckedSimulator(Simulator):
     largest sum re-summed from the members' terms; the pending load handed
     to ``compute_dt_ns`` (bit for bit) and every option handed to
     ``select_core``; and between event batches the largest sum, each core's
-    next release and due instant (never while asleep, with an empty queue),
-    that no core would act if it were dispatched, and that the batch handled
-    an event.  The last check but one reads numbers, not engine flags: an
-    awake idle core's gap to its next release against the sleep threshold,
-    and a running core's due instant against its remaining work at the
-    current speed."""
+    next release and due work (never while asleep, with an empty queue),
+    that the first pending entry of the completion heap is the smallest due
+    work over the running cores, that no core would act if it were
+    dispatched, and that the batch handled an event.  The fixed-point check
+    reads numbers and a reference, not engine flags: an awake idle core's
+    gap to its next release against the sleep threshold, and a running
+    core's job against the reference EDF pick of its queue."""
 
     loads = selects = 0
     batch_events = None   # events the current batch handled; None before the first
@@ -456,12 +467,11 @@ class CheckedSimulator(Simulator):
         super()._wake(core, t_ns)
 
     def _recompute_speed(self, t_ns):
-        changed = super()._recompute_speed(t_ns)
+        super()._recompute_speed(t_ns)
         self.check_sums(t_ns)
         u_max = max(sum(run.term for run in core.members) for core in self.cores)
         assert self.speed == policies.policy_speed(
             self.cfg.policy, u_max / UTIL_UNIT, self.min_scale, self.critical_scale), t_ns
-        return changed
 
     def check_sums(self, t_ns):
         for core in self.cores:
@@ -497,11 +507,12 @@ class CheckedSimulator(Simulator):
         if self.batch_events is not None:  # the first batch, at t = 0, has not run yet
             assert self.batch_events > 0, t0_ns
             check_max_util(self, t0_ns)
+            check_completion_heap(self, t0_ns)
             for core in self.cores:
                 assert at_dispatch_fixed_point(self, core, t0_ns), (t0_ns, core.index)
                 top = core.nexts[0] if core.nexts else None
                 assert top == core_next_release_ns(core, t0_ns), (t0_ns, core.index)
-                check_due(core, t0_ns)
+                check_due(self, core, t0_ns)
         self.batch_events = 0
         super()._accrue(t0_ns, t1_ns)
 
@@ -606,18 +617,18 @@ class TestBacklogGuard:
         task_run, core = sim.runs[0], sim.cores[0]
         sim._recompute_speed(0)
         sim._release(task_run, 0)
-        sim._dispatch(core, 0, False)
+        sim._dispatch(core, 0)
         first = core.running
         assert first.cc_ns < task.wcet_ns
         sim._release(task_run, 10 * MS)
         sim._complete(core, 11 * MS)
-        assert core.running is None and core.due_ns == NEVER
+        assert core.running is None and core.due_w == NEVER
         assert first.index == 1 and task_run.next_index == 3
         assert task_run.term == task_run.full == core.dyn_util
         assert task_run.term == round(
             policies.task_dynamic_utilization(task_run, 11 * MS) * UTIL_UNIT)
 
-        sim._dispatch(core, 11 * MS, False)
+        sim._dispatch(core, 11 * MS)
         second = core.running
         assert second.index == 2
         sim._complete(core, 15 * MS)
@@ -625,9 +636,62 @@ class TestBacklogGuard:
         assert task_run.term < task_run.full
 
 
-class StrayWake(Simulator):
-    """At its first completion, moves another core's completion instant to
-    one nanosecond before it."""
+def full_speed_run(params, tasks, core_tasks, duration_ms):
+    """Traced ``la_dvs`` run with the speed pinned at 1 (critical scale 1), so
+    work and time advance alike, actual times equal to the worst case, and no
+    sleep (threshold beyond the horizon); returns the simulator, ledger and
+    the (time, core, event, task) of each start, preempt and complete row."""
+    task_set = TaskSet(tasks=tuple(tasks))
+    assignment = Assignment(core_tasks=core_tasks, core_utilization=(0.0,) * len(core_tasks))
+    cfg = SimConfig(params=params, cores=len(core_tasks), duration_ms=duration_ms,
+                    cc_mean_ratio=1.0, policy=PolicyKind.LA_DVS, critical_scale_override=1.0,
+                    t_th_ms_override=1000.0, collect_trace=True)
+    sim = Simulator(cfg, task_set, assignment)
+    ledger, trace = sim.run()
+    rows = [(t, c, ev, task) for (t, c, ev, task, _d) in trace
+            if ev in ("start", "preempt", "complete")]
+    return sim, ledger, trace, rows
+
+
+class TestSameInstantCompletions:
+    def test_completion_beside_an_earlier_deadline_release(self, params):
+        """Task 1 completes at 4 ms, the instant task 0 releases a job with an
+        earlier deadline (8 ms against 20 ms) on the same core: the completed
+        job leaves the queue from below the new top, and the new job runs."""
+        sim, ledger, trace, rows = full_speed_run(
+            params, [task_from_ms(0, 4.0, 1.0), task_from_ms(1, 20.0, 3.0)], ((0, 1),), 6.0)
+        assert [(ev, task) for (t, _c, ev, task, _d) in trace if t == 4 * MS] == [
+            ("release", 0), ("complete", 1), ("start", 0)]
+        assert rows == [
+            (0, 0, "start", 0), (1 * MS, 0, "complete", 0), (1 * MS, 0, "start", 1),
+            (4 * MS, 0, "complete", 1), (4 * MS, 0, "start", 0), (5 * MS, 0, "complete", 0),
+        ]
+        assert ledger.deadline_miss_count == 0 and ledger.failed_sleep_count == 1
+        assert ledger.busy_j[0] == pytest.approx(sim.power * 5e-3, rel=1e-12)
+        assert ledger.idle_j[0] == pytest.approx(sim.power * 1e-3, rel=1e-12)
+
+    def test_zero_length_job_preempts_and_completes_at_its_release(self, params):
+        """Task 0's jobs take 0.1 ns, which rounds to 0: each starts and
+        completes at its release.  At 3 ms one preempts task 1 and ends at
+        once, so task 1 resumes with no work done since its preemption and
+        still completes at 4 ms, once.  Core 1's job, due at 3.5 ms, lies
+        between the two."""
+        tasks = [Task(id=0, period_ns=3 * MS, wcet_ns=0.1), task_from_ms(1, 10.0, 4.0),
+                 task_from_ms(2, 10.0, 3.5)]
+        sim, ledger, _trace, rows = full_speed_run(params, tasks, ((0, 1), (2,)), 5.0)
+        assert rows == [
+            (0, 0, "start", 0), (0, 1, "start", 2), (0, 0, "complete", 0), (0, 0, "start", 1),
+            (3 * MS, 0, "preempt", 1), (3 * MS, 0, "start", 0), (3 * MS, 0, "complete", 0),
+            (3 * MS, 0, "start", 1), (3_500_000, 1, "complete", 2), (4 * MS, 0, "complete", 1),
+        ]
+        assert ledger.deadline_miss_count == 0
+        assert ledger.busy_j == pytest.approx([sim.power * 4e-3, sim.power * 3.5e-3], rel=1e-9)
+        assert ledger.idle_j == pytest.approx([sim.power * 1e-3, sim.power * 1.5e-3], rel=1e-9)
+
+
+class StrayRelease(Simulator):
+    """At its first completion, puts a release of another core's task into
+    the event heap one nanosecond before that completion."""
 
     moved = False
 
@@ -635,15 +699,16 @@ class StrayWake(Simulator):
         super()._complete(core, t_ns)
         if not self.moved:
             self.moved = True
-            self.cores[1 - core.index].due_ns = t_ns - 1
+            run = self.cores[1 - core.index].members[0]
+            heapq.heappush(self._heap, (t_ns - 1, run.task.id, run))
 
 
 def test_event_before_processed_instant_raises(params, motivational_tasks,
                                                motivational_assignment):
     # Without the guard time steps back by 1 ns and the gap is charged twice.
     cfg = motivational_config(params, PolicyKind.LA_DVS)
-    with pytest.raises(EngineError):
-        StrayWake(cfg, motivational_tasks, motivational_assignment).run()
+    with pytest.raises(EngineError, match="after the batch"):
+        StrayRelease(cfg, motivational_tasks, motivational_assignment).run()
 
 
 class DispatchRecorder(Simulator):
@@ -671,10 +736,10 @@ class DispatchRecorder(Simulator):
         self.events.update(((t_ns, src.index), (t_ns, dest.index)))
         super()._commit(run, moved, src, dest, t_ns)
 
-    def _dispatch(self, core, t_ns, *args):
+    def _dispatch(self, core, t_ns):
         resting = core.state == SLEEPING or not core.ready
         self.calls.append((t_ns, core.index, resting and (t_ns, core.index) not in self.events))
-        super()._dispatch(core, t_ns, *args)
+        super()._dispatch(core, t_ns)
 
 
 def speed_moving_instance(params, power_table, t_th_ms):

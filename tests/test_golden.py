@@ -35,9 +35,21 @@ normalized fields 7.8e-16 (13 fields moved); on a grid of 408 runs (m in
 {1, 2, 3, 4, 8, 16}, U in {0.2, 0.5, 0.8}, seeds 1-4, all three policies,
 E_sw in {0, 0.5 mJ}, 1.5 s each) 4.6e-15.
 
+Re-recorded: all six runs and the sweep, when the engine came to keep a
+work clock and an energy clock instead of per-core progress.  A running
+core holds the clock value at which its job ends, and a core's busy or idle
+energy is a difference of the energy clock at its own state changes instead
+of a sum over every batch interval, so the float sums round differently.
+Every trace row, count and realloc_checks record is unchanged, and so are
+the six trace digests, added at this re-record.  Largest drift measured:
+ledger totals of the six runs 1.6e-15 relative (one per-core idle energy of
+a mostly busy core 7.8e-14); the sweep's energy_j and normalized fields
+7.7e-16 (12 fields moved); on the grid of 408 runs above, run totals 4.4e-15.
+
 To re-record after a deliberate numerics change, print the digests of the
 current code with ``PYTHONPATH=src python tests/test_golden.py`` and copy only
-the entries that moved.
+the entries that moved.  A change meant to keep every trace row keeps
+TRACE_DIGESTS.
 """
 
 import hashlib
@@ -47,30 +59,47 @@ import pytest
 from coresleep.harness import SweepSpec, emit, run_single, run_sweep
 from coresleep.policies import PolicyKind
 
-# sha256 of the trace rows plus the ledger totals of
+# sha256 of the trace rows of
 # run_single(policy, m=m, seed=5, duration_ms=2000.0, collect_trace=True).
+TRACE_DIGESTS = {
+    (PolicyKind.PURE_DVS, 2):
+        "08804358756016a72f4525592c1499ec6414e0006b2033ace7fdb675ae3d3305",
+    (PolicyKind.LA_DVS, 2):
+        "2cec0dbe97e5de454fb5c14c8ad51a9f69e88f98c4a2d3fff1dcb293c11bf309",
+    (PolicyKind.LA_REALLOC, 2):
+        "b25d48025f43e1e6b3bb30c03fd458ac07710bcca127f7c1128e0e71a5658bb2",
+    (PolicyKind.PURE_DVS, 8):
+        "4b45b06ee1816446b942b3bf7e7fcc792cb5af5871f46abbf119ce7f6f43c519",
+    (PolicyKind.LA_DVS, 8):
+        "11e7239eebf0b9b1e053e03b5b2232bf4a24183f67148136fd4233d832bf65ea",
+    (PolicyKind.LA_REALLOC, 8):
+        "29163cb36d57faa96172e5089f5f1a7cf00736c0096672cc89e199cac0936ea8",
+}
+
+# sha256 of the same trace rows plus the ledger totals.
 RUN_DIGESTS = {
     (PolicyKind.PURE_DVS, 2):
-        "6faccd21d45ce4a31f995a00951b0dbd7faa79604100155cbb60519b432e264f",
+        "660be58e26d4fe1a7b59fc04899b7c48c53405f19c2badf5fb22489ed27c2ce0",
     (PolicyKind.LA_DVS, 2):
-        "341bcba8c295540fa18bdc5e6def6140a43bbb81b6b861d5d3c65d1b01068223",
+        "87ea055215bb16ab3bb73dcc1b9672ce8288de53baf16daf7cfd9cbb27b0d6ad",
     (PolicyKind.LA_REALLOC, 2):
-        "1f146da9bf8de83d5095aecb4311b7f8c0e7bb6504ee9b9289f3c6c929c4a374",
+        "f4b9235170e9d6055f94556289dd7aaaa9bb34fa719b99c95cc7e0cfd787e3da",
     (PolicyKind.PURE_DVS, 8):
-        "07607ee94229ef6b5751e9f88604b4cacb0af27c0a78d08b7ff66107dc5fd675",
+        "a314c84dab11cc289d7e33a9996da073bc3deb3eeac5fef28c53bc3555568131",
     (PolicyKind.LA_DVS, 8):
-        "52bbce53c497cf56fd23e6b270110db3e491f6893933d3829b1f5acd3bc77d63",
+        "2bf4c2a31f8918c58113a3e6862593c655ff0b9d35dbebe99aa484b57246974d",
     (PolicyKind.LA_REALLOC, 8):
-        "efed59db4c98143ae44789a6b4f774d203d6d2cdda9ec345437a9e578ed3c6e4",
+        "711e73f90a54ad95fd8c970e1e21578e8081fdef8e18f31ecf6360426f2c581c",
 }
 
 # sha256 of the data rows (header included, provenance comments excluded)
 # of the CSV written for SWEEP_SPEC.
 SWEEP_SPEC = dict(axis="U", values=(0.1, 0.5, 0.9), repetitions=2, duration_ms=500.0)
-SWEEP_DIGEST = "8da5e80666f4a297e960ccc7095e6e36c5aed2fd5c6ac9955303cf9374486288"
+SWEEP_DIGEST = "6cbe19479e27536294498f4fecb81627fd0e1bd30fa5ab2999099b820f7df179"
 
 
-def run_digest(params, policy, m):
+def run_digests(params, policy, m):
+    """(trace digest, trace-and-ledger digest) of one golden run."""
     _, _, ledger, trace = run_single(
         params, policy, m=m, seed=5, duration_ms=2000.0, collect_trace=True
     )
@@ -78,13 +107,14 @@ def run_digest(params, policy, m):
     for row in trace:
         h.update(repr(row).encode())
         h.update(b"\n")
+    trace_digest = h.hexdigest()
     totals = (
         ledger.total_j, ledger.busy_j, ledger.idle_j, ledger.switch_j,
         ledger.wake_count, ledger.failed_sleep_count, ledger.deadline_miss_count,
         ledger.realloc_count, ledger.realloc_checks,
     )
     h.update(repr(totals).encode())
-    return h.hexdigest()
+    return trace_digest, h.hexdigest()
 
 
 def sweep_digest(params, path):
@@ -95,7 +125,9 @@ def sweep_digest(params, path):
 
 @pytest.mark.parametrize("policy, m", list(RUN_DIGESTS))
 def test_run_single_trace_and_ledger_unchanged(params, policy, m):
-    assert run_digest(params, policy, m) == RUN_DIGESTS[(policy, m)]
+    trace_digest, run_digest = run_digests(params, policy, m)
+    assert trace_digest == TRACE_DIGESTS[(policy, m)]
+    assert run_digest == RUN_DIGESTS[(policy, m)]
 
 
 def test_sweep_csv_rows_unchanged(params, tmp_path):
@@ -111,9 +143,11 @@ if __name__ == "__main__":
     from coresleep.power import default_power_params
 
     params = default_power_params()
-    print("RUN_DIGESTS = {")
-    for policy, m in RUN_DIGESTS:
-        print(f"    (PolicyKind.{policy.name}, {m}):\n        \"{run_digest(params, policy, m)}\",")
-    print("}")
+    digests = {key: run_digests(params, *key) for key in RUN_DIGESTS}
+    for name, k in (("TRACE_DIGESTS", 0), ("RUN_DIGESTS", 1)):
+        print(f"{name} = {{")
+        for policy, m in RUN_DIGESTS:
+            print(f"    (PolicyKind.{policy.name}, {m}):\n        \"{digests[(policy, m)][k]}\",")
+        print("}")
     with tempfile.TemporaryDirectory() as tmp:
         print(f'SWEEP_DIGEST = "{sweep_digest(params, Path(tmp) / "golden.csv")}"')
