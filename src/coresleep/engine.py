@@ -319,8 +319,7 @@ class Simulator:
             # A release of this batch put an earlier deadline on top.
             ready.remove((job.deadline_ns, job.task_id, job))
             heapq.heapify(ready)
-        self.ledger.busy_j[core.index] += self.energy - core.since_j
-        core.since_j = self.energy
+        self._settle(core)
         core.running = None
         core.due_w = NEVER
         run = self.runs[job.task_id]
@@ -376,8 +375,7 @@ class Simulator:
             return
         if running is None:
             # idle up to now (nothing when a job completed in this batch)
-            self.ledger.idle_j[core.index] += self.energy - core.since_j
-            core.since_j = self.energy
+            self._settle(core)
         else:
             running.remaining_ns = core.due_w - self.work
             self._trace(t_ns, core.index, "preempt", running.task_id)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing import Pool
 
 from . import engine
@@ -37,9 +37,6 @@ DEFAULT_GRIDS = {
 }
 
 NAN = float("nan")
-# Partition attempts per instance before a configuration point counts as
-# infeasible.
-MAX_PARTITION_RETRIES = 50
 
 
 class SweepError(ValueError):
@@ -57,17 +54,6 @@ def _check_axis_value(axis, value):
         raise SweepError(f"cc ratio {value} outside (0, 1]")
 
 
-def _check_run_parameters(u, e_sw_j, m, cc_ratio, n_range, period_range_ms, duration_ms):
-    """Checks shared by a sweep's fixed parameters and a single run, made
-    before anything is drawn."""
-    for axis, value in zip(AXES, (u, e_sw_j, m, cc_ratio)):
-        _check_axis_value(axis, value)
-    check_task_range(n_range)
-    check_period_range(period_range_ms)
-    if not (math.isfinite(duration_ms) and round(duration_ms * NS_PER_MS) >= 1):
-        raise SweepError(f"duration {duration_ms!r} ms is not finite or rounds below 1 ns")
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """One experiment: an axis with its values plus the fixed parameters."""
@@ -83,7 +69,9 @@ class SweepSpec:
     duration_ms: float = 10_000.0
     repetitions: int = 100
     base_seed: int = 1
-    max_partition_retries = MAX_PARTITION_RETRIES   # class constant: no caller sets it
+    # Partition attempts per instance before a configuration point counts as
+    # infeasible; a class constant that no caller sets.
+    max_partition_retries = 50
 
     def __post_init__(self):
         if self.axis not in AXES:
@@ -94,8 +82,13 @@ class SweepSpec:
         object.__setattr__(self, "values", vals)
         for value in vals:
             _check_axis_value(self.axis, value)
-        _check_run_parameters(self.u, self.e_sw_j, self.m, self.cc_ratio, self.n_range,
-                              self.period_range_ms, self.duration_ms)
+        for axis, value in zip(AXES, (self.u, self.e_sw_j, self.m, self.cc_ratio)):
+            _check_axis_value(axis, value)
+        check_task_range(self.n_range)
+        check_period_range(self.period_range_ms)
+        duration = self.duration_ms
+        if not (math.isfinite(duration) and round(duration * NS_PER_MS) >= 1):
+            raise SweepError(f"duration {duration!r} ms is not finite or rounds below 1 ns")
         if self.repetitions < 1:
             raise SweepError("need at least one repetition")
 
@@ -158,6 +151,22 @@ def _instance_for(seed, n_range, u_tot, m, period_range_ms, max_retries):
     return None
 
 
+def repetition(spec: SweepSpec, value_index, rep, params, table=None):
+    """(task_set, assignment, cfg) of one repetition of a sweep, or None when
+    it has no feasible instance.  ``cfg`` leaves the policy at its default;
+    each caller sets its own with ``dataclasses.replace``."""
+    u, e_sw, m, cc = spec.fixed_for(spec.values[value_index])
+    seed = spec.base_seed + rep
+    instance = _instance_for(
+        seed, spec.n_range, u * m, m, spec.period_range_ms, spec.max_partition_retries
+    )
+    if instance is None:
+        return None
+    cfg = engine.SimConfig(params=params, cores=m, duration_ms=spec.duration_ms, e_sw_j=e_sw,
+                           cc_mean_ratio=cc, seed=seed, power_table=table)
+    return (*instance, cfg)
+
+
 # Worker-process globals, set once per worker by _init_worker.
 _WORKER_CTX: dict = {}
 
@@ -172,29 +181,14 @@ def _run_repetition(job):
     """{policy: (energy, misses, wakes, failed sleeps)} of one (value index,
     repetition) job, or None when it has no feasible instance."""
     value_index, rep = job
-    spec: SweepSpec = _WORKER_CTX["spec"]
-    value = spec.values[value_index]
-    u, e_sw, m, cc = spec.fixed_for(value)
-    seed = spec.base_seed + rep
-    instance = _instance_for(
-        seed, spec.n_range, u * m, m, spec.period_range_ms, spec.max_partition_retries
-    )
-    if instance is None:
+    built = repetition(_WORKER_CTX["spec"], value_index, rep,
+                       _WORKER_CTX["params"], _WORKER_CTX["table"])
+    if built is None:
         return None
-    task_set, assignment = instance
+    task_set, assignment, cfg = built
     out = {}
     for policy in POLICY_ORDER:
-        cfg = engine.SimConfig(
-            params=_WORKER_CTX["params"],
-            cores=m,
-            duration_ms=spec.duration_ms,
-            e_sw_j=e_sw,
-            cc_mean_ratio=cc,
-            policy=policy,
-            seed=seed,
-            power_table=_WORKER_CTX["table"],
-        )
-        ledger, _ = engine.run(cfg, task_set, assignment)
+        ledger, _ = engine.run(replace(cfg, policy=policy), task_set, assignment)
         out[policy.value] = (
             ledger.total_j,
             ledger.deadline_miss_count,
@@ -323,22 +317,22 @@ def run_single(
 ):
     """Generate one instance and simulate it under one policy.
 
+    The run is repetition 0 of the one-point sweep over U = ``u`` with base
+    seed ``seed``, so its inputs are checked as that sweep's are, before
+    anything is drawn, and its energy and counts equal the sweep's row for
+    ``policy``.
+
     Returns (task_set, assignment, ledger, trace).
     """
-    _check_run_parameters(u, e_sw_j, m, cc_ratio, n_range, period_range_ms, duration_ms)
-    instance = _instance_for(seed, n_range, u * m, m, period_range_ms, MAX_PARTITION_RETRIES)
-    if instance is None:
-        raise PartitionError(f"no feasible partition for seed {seed} after resampling")
-    task_set, assignment = instance
-    cfg = engine.SimConfig(
-        params=params,
-        cores=m,
-        duration_ms=duration_ms,
-        e_sw_j=e_sw_j,
-        cc_mean_ratio=cc_ratio,
-        policy=policy,
-        seed=seed,
-        collect_trace=collect_trace,
+    spec = SweepSpec(
+        axis="U", values=(u,), u=u, e_sw_j=e_sw_j, m=m, cc_ratio=cc_ratio, n_range=n_range,
+        period_range_ms=period_range_ms, duration_ms=duration_ms, repetitions=1, base_seed=seed,
     )
-    ledger, trace = engine.run(cfg, task_set, assignment)
+    built = repetition(spec, 0, 0, params)
+    if built is None:
+        raise PartitionError(f"no feasible partition for seed {seed} after resampling")
+    task_set, assignment, cfg = built
+    ledger, trace = engine.run(
+        replace(cfg, policy=policy, collect_trace=collect_trace), task_set, assignment
+    )
     return task_set, assignment, ledger, trace

@@ -15,7 +15,8 @@ from dense_oracle import integrate_trace_energy
 
 from coresleep.engine import SimConfig, run
 from coresleep.harness import (
-    DEFAULT_GRIDS, POLICY_ORDER, SweepResult, SweepSpec, _instance_for, emit, run_sweep,
+    DEFAULT_GRIDS, POLICY_ORDER, SweepResult, SweepSpec, _instance_for, emit, repetition,
+    run_sweep,
 )
 from coresleep.partition import Assignment, ltf_partition
 from coresleep.policies import PolicyKind
@@ -175,25 +176,18 @@ def test_criterion_4_utilization_sweep_low_extreme(fig3, params, derived, power_
     # At U = 0.1 the whole task set fits on one core below the critical speed,
     # so the most any consolidating policy can save is la_dvs on the one-core
     # packing of the same instances; reallocation must reach that limit. The
-    # instances and configurations repeat harness._run_repetition.
+    # instances and configurations are the sweep's own repetitions.
     spec = fig3.spec
-    u, e_sw, m, cc = spec.fixed_for(0.1)
+    value_index = spec.values.index(0.1)
     packed = []
     for rep in range(spec.repetitions):
-        seed = spec.base_seed + rep
-        instance = _instance_for(
-            seed, spec.n_range, u * m, m, spec.period_range_ms, spec.max_partition_retries
-        )
-        if instance is None:
+        built = repetition(spec, value_index, rep, params, power_table)
+        if built is None:
             continue
-        task_set, _ = instance
+        task_set, _, cfg = built
         assert task_set.total_utilization <= derived.critical_scale
-        cfg = SimConfig(
-            params=params, cores=m, duration_ms=spec.duration_ms, e_sw_j=e_sw,
-            cc_mean_ratio=cc, policy=PolicyKind.LA_DVS, seed=seed,
-            power_table=power_table,
-        )
-        ledger, _ = run(cfg, task_set, _packed_onto_core_zero(task_set, m))
+        ledger, _ = run(replace(cfg, policy=PolicyKind.LA_DVS), task_set,
+                        _packed_onto_core_zero(task_set, cfg.cores))
         packed.append(ledger.total_j)
     worst_fit = fig3.row(0.1, PolicyKind.LA_DVS)
     assert len(packed) == worst_fit.runs

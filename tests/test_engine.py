@@ -636,6 +636,28 @@ class TestBacklogGuard:
         assert task_run.term < task_run.full
 
 
+class TestBacklogPin:
+    def test_no_shift_while_an_older_job_is_queued(self, params):
+        """Task 3's job released at 2 ms on core 1 completes exactly at its
+        4 ms deadline, in the batch of its successor's release.  Releases are
+        processed before completions, so the older job is still queued at
+        that release and pins the task: there is no shift at 4 ms, though the
+        gate passes and core 0 is a candidate (without the pin task 3 moves
+        back to core 0 there)."""
+        tasks = TaskSet(tasks=(
+            task_from_ms(1, 4.0, 0.3), task_from_ms(2, 2.0, 0.2), task_from_ms(3, 2.0, 0.8)))
+        assignment = Assignment(core_tasks=((1,), (2, 3)), core_utilization=(0.075, 0.5))
+        cfg = SimConfig(params=params, cores=2, duration_ms=16.0, e_sw_j=5e-4,
+                        cc_mean_ratio=1.0, policy=PolicyKind.LA_REALLOC, seed=0,
+                        critical_scale_override=0.5, t_th_ms_override=0.5, collect_trace=True)
+        ledger, trace = run(cfg, tasks, assignment)
+        at_4ms = [(c, ev, task) for (t, c, ev, task, _d) in trace if t == 4 * MS]
+        assert at_4ms.index((1, "release", 3)) < at_4ms.index((1, "complete", 3))
+        assert ledger.deadline_miss_count == 0
+        reallocs = [(t, c, task, d) for (t, c, ev, task, d) in trace if ev == "realloc"]
+        assert reallocs == [(0, 0, 3, "from=1"), (2 * MS, 1, 3, "from=0")]
+
+
 def full_speed_run(params, tasks, core_tasks, duration_ms):
     """Traced ``la_dvs`` run with the speed pinned at 1 (critical scale 1), so
     work and time advance alike, actual times equal to the worst case, and no

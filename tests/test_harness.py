@@ -151,6 +151,25 @@ def test_run_single_checks_inputs_before_drawing(params, bad, match):
         run_single(params, PolicyKind.LA_DVS, **bad)
 
 
+@pytest.mark.parametrize("m", [2, 4])
+def test_run_single_is_repetition_zero_of_a_one_point_sweep(params, m):
+    """A sweep's repetition re-run through run_single gives its row exactly;
+    the benchmark's recheck of a sweep relies on it."""
+    spec = SweepSpec(axis="U", values=(0.3,), m=m, duration_ms=300.0, repetitions=1, base_seed=7)
+    result = run_sweep(spec, params=params)
+    for policy in POLICY_ORDER:
+        _, _, ledger, _ = run_single(
+            params, policy, m=m, u=0.3, e_sw_j=spec.e_sw_j, cc_ratio=spec.cc_ratio,
+            n_range=spec.n_range, period_range_ms=spec.period_range_ms,
+            duration_ms=spec.duration_ms, seed=7,
+        )
+        row = result.row(0.3, policy)
+        assert row.runs == 1
+        assert (row.energy_j, row.misses, row.wakes, row.failed_sleeps) == (
+            ledger.total_j, ledger.deadline_miss_count, ledger.wake_count,
+            ledger.failed_sleep_count)
+
+
 class TestInfeasibleRepetitions:
     def test_skips_are_reported_not_dropped(self, params, tmp_path):
         # three tasks summing to utilization 2 can never split 1.0/1.0
