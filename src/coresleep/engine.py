@@ -48,12 +48,11 @@ class EngineError(RuntimeError):
 
 
 class TaskRun:
-    """Mutable per-task simulation state: current home core, completion
-    status of the nearest invocation, and the task's private draw stream for
-    actual execution times."""
+    """Mutable per-task simulation state: current home core, the indices of
+    the latest completed job and of the next to release (jobs complete in
+    order), and the task's private draw stream for actual execution times."""
 
-    __slots__ = ("task", "core", "last_completed_arrival", "last_cc_ns", "next_index", "cc_rng",
-                 "full", "term")
+    __slots__ = ("task", "core", "done", "last_cc_ns", "next_index", "cc_rng", "full", "term")
 
     def __init__(self, task, core_index, seed):
         self.task = task
@@ -62,7 +61,7 @@ class TaskRun:
         # current invocation is pending and cc/P once it has finished.
         self.full = round(task.utilization * UTIL_UNIT)
         self.term = self.full
-        self.last_completed_arrival = -1
+        self.done = 0
         self.last_cc_ns = 0.0
         self.next_index = 1
         # Stream keyed by (run seed, task id): identical across policies so
@@ -211,12 +210,6 @@ class Simulator:
         # Core indices an event of the current batch changed (to dispatch).
         self._touched = set()
 
-    # -- event plumbing ----------------------------------------------------
-
-    def _trace(self, t_ns, core, event, task=None, detail=""):
-        if self.trace is not None:
-            self.trace.append((t_ns, core, event, task, detail))
-
     # -- model helpers -----------------------------------------------------
 
     def _add_dyn_util(self, core: Core, delta):
@@ -243,7 +236,9 @@ class Simulator:
 
     def _recompute_speed(self, t_ns):
         """Set the speed and its power for the current sums."""
-        s = self._speed_of_sums()
+        u_max, s = self._speed_cache
+        if u_max != self.max_util:
+            s = self._speed_of_sums()
         if s != self.speed:
             self.speed = s
             self.power = self.table.power(s)
@@ -323,7 +318,7 @@ class Simulator:
         core.running = None
         core.due_w = NEVER
         run = self.runs[job.task_id]
-        run.last_completed_arrival = job.arrival_ns
+        run.done = job.index
         run.last_cc_ns = job.cc_ns
         # A backlogged job finishing after its successor's release leaves the
         # successor's worst case in the sum.
@@ -334,20 +329,23 @@ class Simulator:
         if t_ns > job.deadline_ns:
             self.ledger.deadline_miss_count += 1
         self._touched.add(core.index)
-        self._trace(t_ns, core.index, "complete", job.task_id)
+        if self.trace is not None:
+            self.trace.append((t_ns, core.index, "complete", job.task_id, ""))
 
     def _wake(self, core: Core, t_ns):
         core.state = ACTIVE
         core.since_j = self.energy
         self.ledger.wake_count += 1
-        self._trace(t_ns, core.index, "wake")
+        if self.trace is not None:
+            self.trace.append((t_ns, core.index, "wake", None, ""))
 
     def _sleep(self, core: Core, t_ns):
         self._settle(core)
         core.state = SLEEPING
         # A sleeping core must not receive reallocated tasks.
         self.realloc_candidates.discard(core.index)
-        self._trace(t_ns, core.index, "sleep")
+        if self.trace is not None:
+            self.trace.append((t_ns, core.index, "sleep", None, ""))
 
     def on_core_idle(self, core: Core, t_ns):
         """Sleep decision for a core with no ready work: sleep through the
@@ -378,8 +376,10 @@ class Simulator:
             self._settle(core)
         else:
             running.remaining_ns = core.due_w - self.work
-            self._trace(t_ns, core.index, "preempt", running.task_id)
-        self._trace(t_ns, core.index, "start", job.task_id)
+            if self.trace is not None:
+                self.trace.append((t_ns, core.index, "preempt", running.task_id, ""))
+        if self.trace is not None:
+            self.trace.append((t_ns, core.index, "start", job.task_id, ""))
         core.running = job
         core.due_w = due_w = self.work + job.remaining_ns
         heapq.heappush(self._due, (due_w, core.index))
@@ -393,30 +393,18 @@ class Simulator:
         otherwise."""
         home = self.cores[run.core]
         task = run.task
-        runs = self.runs
-        # One pass over the home queue finds the released job, an older job
-        # of the same task, and the tasks whose latest job is unfinished.
-        moved = None
-        backlog = False
-        pending = []
-        for _deadline, _task_id, job in home.ready:
-            if job.task_id == task.id:
-                if job.arrival_ns == t_ns:
-                    moved = job
-                else:
-                    backlog = True
-            if job.index == runs[job.task_id].next_index - 1:
-                pending.append(job.task_id)
-        if moved is None:
-            raise EngineError("reallocated task has no released job")
         dest = None
         # An unfinished older job pins the task: jobs never migrate mid-flight,
         # so the shift is skipped for this release (counts as a failed attempt).
-        if not backlog:
-            # Pending worst cases summed in task-id order, as the members are.
+        # Jobs complete in index order, so such a job is queued exactly when
+        # the latest completed one is older than the job before this release.
+        if run.done >= run.next_index - 2:
+            # The worst cases of the members whose latest job is unfinished,
+            # summed in task-id order (members are kept in that order).
             load_ns = 0.0
-            for task_id in sorted(pending):
-                load_ns += runs[task_id].task.wcet_ns
+            for member in home.members:
+                if member.done < member.next_index - 1:
+                    load_ns += member.task.wcet_ns
             dt = policies.compute_dt_ns(home.nexts[0] - t_ns, load_ns, self.critical_scale)
             if policies.upon_task_release(dt, task.wcet_ns, self.critical_scale, self.t_th_ns):
                 cores = self.cores
@@ -429,13 +417,19 @@ class Simulator:
             self.realloc_candidates.add(home.index)
         else:
             self.realloc_candidates.discard(home.index)
-            self._commit(run, moved, home, self.cores[dest], t_ns)
+            self._commit(run, home, self.cores[dest], t_ns)
 
-    def _commit(self, run: TaskRun, moved: Job, src: Core, dest: Core, t_ns):
+    def _commit(self, run: TaskRun, src: Core, dest: Core, t_ns):
         # The speed this instant gives without the move; other releases at
         # t_ns may already have raised it above self.speed.
         speed_before = self._speed_of_sums()
-        entry = (moved.deadline_ns, moved.task_id, moved)
+        # The task was released at t_ns, so the released job's deadline and
+        # the task's next release are both t_ns + P.
+        nxt = t_ns + run.task.period_ns
+        task_id = run.task.id
+        entry = next((e for e in src.ready if e[0] == nxt and e[1] == task_id), None)
+        if entry is None:
+            raise EngineError("reallocated task has no released job")
         src.ready.remove(entry)
         heapq.heapify(src.ready)
         src.members.remove(run)
@@ -443,8 +437,6 @@ class Simulator:
         dest.members.sort(key=lambda r: r.task.id)
         heapq.heappush(dest.ready, entry)
         run.core = dest.index
-        # The task was released at t_ns, so its next release is t_ns + P.
-        nxt = t_ns + run.task.period_ns
         src.nexts.remove(nxt)
         heapq.heapify(src.nexts)
         heapq.heappush(dest.nexts, nxt)
@@ -454,7 +446,8 @@ class Simulator:
         dest.static_util += run.full
         self._touched.update((src.index, dest.index))
         self.ledger.realloc_count += 1
-        self._trace(t_ns, dest.index, "realloc", run.task.id, f"from={src.index}")
+        if self.trace is not None:
+            self.trace.append((t_ns, dest.index, "realloc", task_id, f"from={src.index}"))
 
         # The selection rules guarantee these; check each commit (u_static re-summed).
         u_static = sum(r.task.utilization for r in dest.members)
@@ -525,17 +518,24 @@ class Simulator:
             # the sums alone.
             self._recompute_speed(t)
             # An untouched core is asleep, idle with its sleep decision made,
-            # or running its EDF pick, whatever the speed.
-            batch = sorted(touched)
-            touched.clear()
-            # A sleeping core gets work only from a release on it, at its next
-            # release; when all of it shifted away it sleeps on at no cost.
-            for i in batch:
-                core = cores[i]
+            # or running its EDF pick, whatever the speed.  A sleeping core
+            # gets work only from a release on it, at its next release; when
+            # all of it shifted away it sleeps on at no cost.
+            if len(touched) == 1:
+                # Most batches touch one core: no order to keep.
+                core = cores[touched.pop()]
                 if core.state == SLEEPING and core.ready:
                     self._wake(core, t)
-            for i in batch:
-                self._dispatch(cores[i], t)
+                self._dispatch(core, t)
+            else:
+                batch = sorted(touched)
+                touched.clear()
+                for i in batch:
+                    core = cores[i]
+                    if core.state == SLEEPING and core.ready:
+                        self._wake(core, t)
+                for i in batch:
+                    self._dispatch(cores[i], t)
 
         # Completions landing exactly on the horizon still count as on time.
         ending = self._take_due(duration - t_now, self.work) if due == duration else ()

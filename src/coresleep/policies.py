@@ -33,8 +33,8 @@ def task_dynamic_utilization(run, t_ns: int) -> float:
     """Utilization of one task at time t: actual/period once the current
     invocation finished, worst-case/period while it is pending."""
     task = run.task
-    # the current invocation is the latest to arrive at or before t
-    if run.last_completed_arrival == t_ns // task.period_ns * task.period_ns:
+    # the current invocation, the latest to arrive at or before t, is job t // P + 1
+    if run.done == t_ns // task.period_ns + 1:
         return run.last_cc_ns / task.period_ns
     return task.wcet_ns / task.period_ns
 
@@ -84,7 +84,8 @@ def upon_task_release(dt_ns: float, wcet_ns: float, critical_scale: float,
 
 
 def policy_speed(kind: PolicyKind, u_max: float, min_scale: float, critical_scale: float) -> float:
-    """Global normalized speed for the highest per-core dynamic utilization."""
-    if kind is PolicyKind.PURE_DVS:
-        return min(max(u_max, min_scale), 1.0)
-    return min(max(u_max, critical_scale), 1.0)
+    """Global normalized speed for the highest per-core dynamic utilization:
+    ``min(max(u_max, floor), 1.0)``, written out as comparisons."""
+    floor = min_scale if kind is PolicyKind.PURE_DVS else critical_scale
+    s = floor if floor > u_max else u_max
+    return 1.0 if s > 1.0 else s

@@ -156,9 +156,12 @@ def draw_actual_ratio(mean_ratio: float, rng: random.Random) -> float:
     """
     if not (0.0 < mean_ratio <= 1.0):
         raise WorkloadError(f"mean ratio {mean_ratio} outside (0, 1]")
-    lo = max(0.0, 2.0 * mean_ratio - 1.0)
-    hi = min(1.0, 2.0 * mean_ratio)
+    # The same floats as max(0.0, 2m - 1), min(1.0, 2m) and rng.uniform(lo, hi).
+    twice = 2.0 * mean_ratio
+    lo = twice - 1.0 if twice > 1.0 else 0.0
+    hi = twice if twice < 1.0 else 1.0
+    span = hi - lo
     while True:
-        r = rng.uniform(lo, hi)
+        r = lo + span * rng.random()
         if r > 0.0:
             return r

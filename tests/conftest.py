@@ -106,7 +106,8 @@ def compute_load_ns(core, t_ns):
     or before t) has not finished, summed in task-id order."""
     total = 0.0
     for run in core.members:
-        period = run.task.period_ns
-        if run.last_completed_arrival != t_ns // period * period:
+        # the current invocation, the latest to arrive at or before t, is
+        # job t // P + 1
+        if run.done != t_ns // run.task.period_ns + 1:
             total += run.task.wcet_ns
     return total

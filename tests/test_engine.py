@@ -425,6 +425,24 @@ def check_due(sim, core, t_ns):
         assert core.due_w == NEVER, where
 
 
+def check_index_state(home, run, t_ns):
+    """The job indices the reallocation hook reads fit the home queue: the
+    job released at t is queued; the task is pinned (``done < next_index -
+    2``) exactly when an older job of it is queued; and a member counts as
+    pending (``done < next_index - 1``) exactly when its job before the next
+    release is queued."""
+    queued = {(job.task_id, job.index): job for _deadline, _task_id, job in home.ready}
+    where = (t_ns, run.task.id)
+    released = queued.get((run.task.id, run.next_index - 1))
+    assert released is not None and released.arrival_ns == t_ns, where
+    older = any(task_id == run.task.id and index < run.next_index - 1
+                for task_id, index in queued)
+    assert (run.done < run.next_index - 2) == older, where
+    for member in home.members:
+        pending = (member.task.id, member.next_index - 1) in queued
+        assert (member.done < member.next_index - 1) == pending, (where, member.task.id)
+
+
 def check_completion_heap(sim, t_ns):
     """The first pending entry of the completion heap (one whose value is
     still its core's due_w) holds the smallest due_w over the running
@@ -439,18 +457,21 @@ class CheckedSimulator(Simulator):
     core's utilization sums and the tracked largest sum after each
     reallocation attempt, each completion and each batch's speed recompute;
     after each recompute, that the speed is the policy's rule applied to the
-    largest sum re-summed from the members' terms; the pending load handed
-    to ``compute_dt_ns`` (bit for bit) and every option handed to
-    ``select_core``; and between event batches the largest sum, each core's
-    next release and due work (never while asleep, with an empty queue),
+    largest sum re-summed from the members' terms; before each reallocation
+    attempt, the job indices the hook reads against the home queue; the
+    pending load handed to ``compute_dt_ns`` (bit for bit) and every option
+    handed to ``select_core``; and between event batches the largest sum,
+    each core's next release and due work (never while asleep, with an empty queue),
     that the first pending entry of the completion heap is the smallest due
     work over the running cores, that no core would act if it were
     dispatched, and that the batch handled an event.  The fixed-point check
     reads numbers and a reference, not engine flags: an awake idle core's
     gap to its next release against the sleep threshold, and a running
-    core's job against the reference EDF pick of its queue."""
+    core's job against the reference EDF pick of its queue.  It counts its
+    ``_accrue`` and ``_recompute_speed`` calls, so a test can tell that the
+    between-batch checks ran."""
 
-    loads = selects = 0
+    loads = selects = accrues = recomputes = 0
     batch_events = None   # events the current batch handled; None before the first
 
     def _release(self, run, t_ns):
@@ -467,6 +488,7 @@ class CheckedSimulator(Simulator):
         super()._wake(core, t_ns)
 
     def _recompute_speed(self, t_ns):
+        self.recomputes += 1
         super()._recompute_speed(t_ns)
         self.check_sums(t_ns)
         u_max = max(sum(run.term for run in core.members) for core in self.cores)
@@ -481,6 +503,7 @@ class CheckedSimulator(Simulator):
     def _reallocate(self, run, t_ns):
         compute_dt_ns, select_core = policies.compute_dt_ns, policies.select_core
         home = self.cores[run.core]
+        check_index_state(home, run, t_ns)
 
         def checked_load(gap_ns, load_ns, critical_scale):
             assert load_ns == compute_load_ns(home, t_ns), (t_ns, home.index)
@@ -504,6 +527,7 @@ class CheckedSimulator(Simulator):
         self.check_sums(t_ns)
 
     def _accrue(self, t0_ns, t1_ns):
+        self.accrues += 1
         if self.batch_events is not None:  # the first batch, at t = 0, has not run yet
             assert self.batch_events > 0, t0_ns
             check_max_util(self, t0_ns)
@@ -580,6 +604,23 @@ class TestIncrementalState:
             loads += sim.loads
             selects += sim.selects
         assert commits > 0 and loads >= selects >= commits
+
+
+@pytest.mark.parametrize("policy", list(PolicyKind))
+def test_checked_hooks_run_once_per_batch(params, power_table, policy):
+    """The between-batch checks of ``CheckedSimulator`` live in its
+    ``_accrue`` and ``_recompute_speed``: each runs once per batch (an
+    instant below the horizon with a release or a completion), plus the
+    closing accrue and the starting recompute at t = 0."""
+    task_set, assignment = _instance_for(3, (10, 20), 1.6, 4, (10.0, 100.0), 50)
+    cfg = SimConfig(params=params, cores=4, duration_ms=300.0, policy=policy, seed=3,
+                    power_table=power_table, collect_trace=True)
+    sim = CheckedSimulator(cfg, task_set, assignment)
+    _ledger, trace = sim.run()
+    batches = {t for t, _c, event, _task, _detail in trace
+               if event in ("release", "complete") and t < sim.duration_ns}
+    assert len(batches) > 100
+    assert sim.accrues == sim.recomputes == len(batches) + 1
 
 
 SUM_EVENTS = {"release", "realloc", "complete"}
@@ -754,9 +795,9 @@ class DispatchRecorder(Simulator):
         self.events.add((t_ns, core.index))
         super()._wake(core, t_ns)
 
-    def _commit(self, run, moved, src, dest, t_ns):
+    def _commit(self, run, src, dest, t_ns):
         self.events.update(((t_ns, src.index), (t_ns, dest.index)))
-        super()._commit(run, moved, src, dest, t_ns)
+        super()._commit(run, src, dest, t_ns)
 
     def _dispatch(self, core, t_ns):
         resting = core.state == SLEEPING or not core.ready

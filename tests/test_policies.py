@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from conftest import compute_load_ns, core_next_release_ns, motivational_config
@@ -32,7 +34,7 @@ def to_state_after_first_cycle(sim):
     released (pending), task 2 finished until its release at 4 ms."""
     for task_id in (1, 2, 3):
         run_state = sim.runs[task_id]
-        run_state.last_completed_arrival = 0
+        run_state.done = 1
         run_state.last_cc_ns = run_state.task.wcet_ns
     return sim
 
@@ -102,7 +104,9 @@ class TestComputeLoad:
         # 4 ms: core 1 holds tasks 2 and 3 at their worst cases, 0.4 + 0.2,
         # not 0.8 from counting every ready job
         release_all(sim, 0, (1, 2, 3))
-        sim.cores[1].ready.clear()
+        sim.cores[1].ready.clear()  # the first invocations of tasks 2 and 3 finished
+        for task_id in (2, 3):
+            sim.runs[task_id].done = 1
         release_all(sim, 2 * MS, (1, 3))
         release_all(sim, 4 * MS, (2, 3))
         assert engine_load_ns(sim, monkeypatch, 2, 4 * MS) == pytest.approx(0.6 * MS)
@@ -227,6 +231,15 @@ class TestPolicySpeed:
         for kind in PolicyKind:
             assert policy_speed(kind, 1.0, 0.19, 0.4) == 1.0
             assert policy_speed(kind, 1.3, 0.19, 0.4) == 1.0
+
+    def test_equals_min_max_rule_bit_for_bit(self):
+        min_scale, critical_scale = 0.19, 0.4005401979134871
+        for kind in PolicyKind:
+            floor = min_scale if kind is PolicyKind.PURE_DVS else critical_scale
+            for u in (0.0, 0.05, min_scale, math.nextafter(floor, 0.0), floor,
+                      math.nextafter(floor, 1.0), 0.3, 0.7, 1.0, math.nextafter(1.0, 2.0), 1.3):
+                expected = min(max(u, floor), 1.0)
+                assert policy_speed(kind, u, min_scale, critical_scale).hex() == expected.hex()
 
 
 class TestCandidateSetEvolution:

@@ -22,7 +22,7 @@ from coresleep.workload import (
 def finished_run(task, cc_ns):
     """Task state with its first invocation completed at ``cc_ns``."""
     run = TaskRun(task, 0, seed=0)
-    run.last_completed_arrival = 0
+    run.done = 1
     run.last_cc_ns = cc_ns
     return run
 
@@ -141,6 +141,19 @@ class TestActualRatio:
         rng = random.Random(2)
         draws = [draw_actual_ratio(0.9, rng) for _ in range(10_000)]
         assert all(0.8 <= d <= 1.0 for d in draws)
+
+    @pytest.mark.parametrize("mean_ratio", [0.05, 0.3, 0.5, 0.75, 1.0])
+    def test_equals_uniform_reference_bit_for_bit(self, mean_ratio):
+        def reference(rng):
+            while True:
+                r = rng.uniform(max(0.0, 2 * mean_ratio - 1), min(1.0, 2 * mean_ratio))
+                if r > 0.0:
+                    return r
+
+        for seed in range(6):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            for _ in range(2000):
+                assert draw_actual_ratio(mean_ratio, rng).hex() == reference(ref_rng).hex()
 
     def test_domain(self):
         rng = random.Random(3)
