@@ -100,19 +100,14 @@ def main(argv=None) -> int:
         if out and os.path.isdir(out):
             raise IsADirectoryError(f"output path {out!r} is a directory")
         params = load_power_params(args.constants) if args.constants else default_power_params()
+        # The inputs a single run and a sweep share.
+        inputs = dict(m=args.cores, u=args.util, e_sw_j=args.esw, cc_ratio=args.cc_ratio,
+                      n_range=args.tasks, period_range_ms=args.periods,
+                      duration_ms=args.duration)
         if args.command == "simulate":
             task_set, assignment, ledger, trace = run_single(
-                params,
-                PolicyKind(args.policy),
-                m=args.cores,
-                u=args.util,
-                e_sw_j=args.esw,
-                cc_ratio=args.cc_ratio,
-                n_range=args.tasks,
-                period_range_ms=args.periods,
-                duration_ms=args.duration,
-                seed=args.seed,
-                collect_trace=args.trace is not None,
+                params, PolicyKind(args.policy), seed=args.seed,
+                collect_trace=args.trace is not None, **inputs,
             )
             if args.trace:
                 write_trace_csv(trace, args.trace)
@@ -126,19 +121,8 @@ def main(argv=None) -> int:
                   f"reallocations={ledger.realloc_count} misses={ledger.deadline_miss_count}")
         else:
             axis, values = args.sweep
-            spec = SweepSpec(
-                axis=axis,
-                values=values,
-                u=args.util,
-                e_sw_j=args.esw,
-                m=args.cores,
-                cc_ratio=args.cc_ratio,
-                n_range=args.tasks,
-                period_range_ms=args.periods,
-                duration_ms=args.duration,
-                repetitions=args.runs,
-                base_seed=args.seed,
-            )
+            spec = SweepSpec(axis=axis, values=values, repetitions=args.runs,
+                             base_seed=args.seed, **inputs)
             result = run_sweep(spec, params=params, workers=args.workers)
             for value, skipped in result.skipped.items():
                 if skipped == spec.repetitions:

@@ -52,7 +52,7 @@ class TaskRun:
     the latest completed job and of the next to release (jobs complete in
     order), and the task's private draw stream for actual execution times."""
 
-    __slots__ = ("task", "core", "done", "last_cc_ns", "next_index", "cc_rng", "full", "term")
+    __slots__ = ("task", "core", "done", "next_index", "cc_rng", "full", "term")
 
     def __init__(self, task, core_index, seed):
         self.task = task
@@ -62,7 +62,6 @@ class TaskRun:
         self.full = round(task.utilization * UTIL_UNIT)
         self.term = self.full
         self.done = 0
-        self.last_cc_ns = 0.0
         self.next_index = 1
         # Stream keyed by (run seed, task id): identical across policies so
         # paired comparisons see the same actual execution times per job.
@@ -319,7 +318,6 @@ class Simulator:
         core.due_w = NEVER
         run = self.runs[job.task_id]
         run.done = job.index
-        run.last_cc_ns = job.cc_ns
         # A backlogged job finishing after its successor's release leaves the
         # successor's worst case in the sum.
         if job.index == run.next_index - 1:

@@ -213,12 +213,17 @@ def run_sweep(spec: SweepSpec, params: PowerParams | None = None, workers: int =
 
     reps = spec.repetitions
     jobs = [(vi, rep) for vi in range(len(spec.values)) for rep in range(reps)]
-    if workers > 1:
-        with Pool(workers, initializer=_init_worker, initargs=(spec, params, table)) as pool:
+    # No more processes than jobs; with one, the jobs run in this process.
+    processes = min(workers, len(jobs))
+    if processes > 1:
+        with Pool(processes, initializer=_init_worker, initargs=(spec, params, table)) as pool:
             raw = pool.map(_run_repetition, jobs, chunksize=4)
     else:
         _init_worker(spec, params, table)
-        raw = [_run_repetition(job) for job in jobs]
+        try:
+            raw = [_run_repetition(job) for job in jobs]
+        finally:
+            _WORKER_CTX.clear()
 
     rows: list[ResultRow] = []
     skipped: dict = {}

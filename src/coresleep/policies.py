@@ -6,9 +6,9 @@ reallocation at job release.  The reallocation rules decide, each time a job
 arrives, whether shifting its task to another awake core would open up an
 idle interval long enough to put the home core to sleep, and where to.
 
-The idle interval, the gate, the destination choice and the speed are
-functions of numbers; the dynamic-utilization helpers read a core's task-run
-state but keep none.
+Every rule here is a function of numbers: the reference dynamic
+utilizations, the idle interval, the gate, the destination choice and the
+speed.
 The engine owns the candidate-core set ``S``, each core's next release, its
 utilization sums and pending load, and commits the shifts.
 """
@@ -29,20 +29,19 @@ class PolicyKind(Enum):
     LA_REALLOC = "la_realloc"
 
 
-def task_dynamic_utilization(run, t_ns: int) -> float:
-    """Utilization of one task at time t: actual/period once the current
-    invocation finished, worst-case/period while it is pending."""
-    task = run.task
-    # the current invocation, the latest to arrive at or before t, is job t // P + 1
-    if run.done == t_ns // task.period_ns + 1:
-        return run.last_cc_ns / task.period_ns
-    return task.wcet_ns / task.period_ns
+def task_dynamic_utilization(task, last_cc_ns=None) -> float:
+    """Utilization of one task: worst-case/period while its current
+    invocation is pending (``last_cc_ns`` None), actual/period once it has
+    finished in ``last_cc_ns``."""
+    return (task.wcet_ns if last_cc_ns is None else last_cc_ns) / task.period_ns
 
 
-def core_dynamic_utilization(core, t_ns: int) -> float:
+def core_dynamic_utilization(terms) -> float:
+    """Sum of ``task_dynamic_utilization`` over (task, last_cc_ns) pairs, in
+    the order given."""
     u = 0.0
-    for run in core.members:
-        u += task_dynamic_utilization(run, t_ns)
+    for task, last_cc_ns in terms:
+        u += task_dynamic_utilization(task, last_cc_ns)
     return u
 
 

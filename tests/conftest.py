@@ -100,14 +100,27 @@ def core_static_utilization(core):
     return sum(run.task.utilization for run in core.members)
 
 
+def current_job_finished(run, t_ns):
+    """True when a task's current invocation at t, the latest to arrive at or
+    before t (job t // P + 1), has completed."""
+    return run.done == t_ns // run.task.period_ns + 1
+
+
+def dynamic_terms(runs, t_ns, last_cc_ns):
+    """The (task, actual time) pairs that ``policies.core_dynamic_utilization``
+    takes for ``runs`` at t, in the order given: the actual time of each
+    task's latest completed job (``last_cc_ns``, by task id) once its current
+    invocation finished, None while it is pending."""
+    return [(run.task, last_cc_ns[run.task.id] if current_job_finished(run, t_ns) else None)
+            for run in runs]
+
+
 def compute_load_ns(core, t_ns):
     """Reference for the pending load the engine passes to ``compute_dt_ns``:
     the worst case of every member whose invocation current at t (arrived at
     or before t) has not finished, summed in task-id order."""
     total = 0.0
     for run in core.members:
-        # the current invocation, the latest to arrive at or before t, is
-        # job t // P + 1
-        if run.done != t_ns // run.task.period_ns + 1:
+        if not current_job_finished(run, t_ns):
             total += run.task.wcet_ns
     return total

@@ -1,0 +1,132 @@
+"""Mutation suite: every listed edit of the program must fail a test.
+
+Each mutant is an exact-text edit of one file under ``src/coresleep``.  For
+each, the script copies the tree (``src``, ``tests``, ``demos`` and
+``pyproject.toml``) to a temporary directory, checks that the old text
+occurs there exactly once (so a refactor that moves the code fails loudly
+instead of testing nothing), applies the edit and runs pytest on every test
+module but the acceptance module, two mutants at a time.  The unmutated copy
+runs first and must pass.  The script prints each mutant as killed, with
+the first test that failed, or survived, and exits non-zero when a mutant
+survives, an old text does not match once, or the unmutated copy fails.
+
+Run from anywhere, with the standard library and pytest:
+
+    python3 tests/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "demos", "pyproject.toml")
+PARALLEL = 2
+
+# (name, file under src/coresleep, old text, new text)
+MUTANTS = [
+    ("_reallocate without the backlog pin", "engine.py",
+     "if run.done >= run.next_index - 2:", "if True:"),
+    ("_complete without run.done = job.index", "engine.py",
+     "run.done = job.index", "pass"),
+    ("_complete term guard removed", "engine.py",
+     "if job.index == run.next_index - 1:", "if True:"),
+    ("_complete without the term update", "engine.py",
+     "self._add_dyn_util(core, term - run.term)", "pass"),
+    ("_take_due without the repeat-entry check", "engine.py",
+     "if i not in found:", "if True:"),
+    ("_complete pops the ready top unconditionally", "engine.py",
+     "if ready[0][2] is job:", "if True:"),
+    ("_complete without the NEVER reset", "engine.py",
+     "core.running = None\n        core.due_w = NEVER\n", "core.running = None\n"),
+    ("_sleep without _settle", "engine.py",
+     "self._settle(core)\n        core.state = SLEEPING", "core.state = SLEEPING"),
+    ("sleep only when the gap exceeds t_th", "engine.py",
+     "if nxt - t_ns >= self.t_th_ns:", "if nxt - t_ns > self.t_th_ns:"),
+    ("gap read 1 ns short", "engine.py",
+     "home.nexts[0] - t_ns,", "home.nexts[0] - t_ns - 1,"),
+    ("home core not excluded from the options", "engine.py",
+     "for i in self.realloc_candidates if i != home.index", "for i in self.realloc_candidates"),
+    ("pending load summed over reversed(home.members)", "engine.py",
+     "for member in home.members:", "for member in reversed(home.members):"),
+    ("select_core breaks ties by the highest index", "policies.py",
+     "(u_dyn, idx) < best", "(u_dyn, -idx) < (best[0], -best[1])"),
+    ("gate >= becomes >", "policies.py",
+     "dt_ns + wcet_ns / critical_scale >= t_th_ns", "dt_ns + wcet_ns / critical_scale > t_th_ns"),
+    ("run_sweep starts a process per worker", "harness.py",
+     "processes = min(workers, len(jobs))", "processes = workers"),
+    ("run_sweep keeps its worker context", "harness.py",
+     "_WORKER_CTX.clear()", "pass"),
+]
+
+FAILED = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - |$)", re.MULTILINE)
+
+
+def copy_tree(dest: Path):
+    ignore = shutil.ignore_patterns("__pycache__", "*.pyc", ".pytest_cache")
+    for name in COPIED:
+        src = ROOT / name
+        if src.is_dir():
+            shutil.copytree(src, dest / name, ignore=ignore)
+        else:
+            shutil.copy2(src, dest / name)
+
+
+def run_tests(tree: Path) -> tuple[bool, str]:
+    """(passed, first failing test) of pytest on ``tree`` without the
+    acceptance module, stopping at the first failure."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider",
+         "tests", "--ignore=tests/test_acceptance.py"],
+        cwd=tree, env=env, capture_output=True, text=True,
+    )
+    if proc.returncode == 0:
+        return True, ""
+    first = FAILED.search(proc.stdout)
+    return False, first.group(1) if first else f"pytest exit {proc.returncode}"
+
+
+def run_mutant(mutant) -> tuple[str, str]:
+    """(outcome, detail): killed with its first failing test, survived, or
+    an error when the old text does not occur exactly once."""
+    _name, file, old, new = mutant
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        tree = Path(tmp)
+        copy_tree(tree)
+        path = tree / "src" / "coresleep" / file
+        text = path.read_text(encoding="utf-8")
+        count = text.count(old)
+        if count != 1:
+            return "error", f"old text occurs {count} times in {file}"
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        passed, first = run_tests(tree)
+    return ("survived", "") if passed else ("killed", first)
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="mutant-base-") as tmp:
+        copy_tree(Path(tmp))
+        passed, first = run_tests(Path(tmp))
+    if not passed:
+        print(f"the unmutated tree fails ({first}); no mutant can be judged")
+        return 1
+    bad = 0
+    with ThreadPoolExecutor(PARALLEL) as pool:
+        for mutant, (outcome, detail) in zip(MUTANTS, pool.map(run_mutant, MUTANTS)):
+            name, file, _old, _new = mutant
+            print(f"{outcome:8}  {file}: {name}" + (f"  {detail}" if detail else ""), flush=True)
+            bad += outcome != "killed"
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import random
 from itertools import groupby
@@ -5,16 +6,16 @@ from itertools import groupby
 import pytest
 
 from conftest import (
-    compute_load_ns, core_next_release_ns, core_static_utilization, edf_pick,
+    compute_load_ns, core_next_release_ns, core_static_utilization, dynamic_terms, edf_pick,
     idle_gaps_between_jobs, motivational_config,
 )
-from dense_oracle import integrate_trace_energy
+from dense_oracle import closed_form_f_max, closed_form_power, integrate_trace_energy
 
 from coresleep import policies
 from coresleep.engine import (
     NEVER, SLEEPING, UTIL_UNIT, EngineError, SimConfig, Simulator, run, write_trace_csv,
 )
-from coresleep.harness import _instance_for
+from coresleep.harness import SweepSpec, _instance_for, repetition
 from coresleep.partition import Assignment, ltf_partition
 from coresleep.policies import PolicyKind
 from coresleep.power import sleep_threshold, total_power_at_speed
@@ -144,6 +145,36 @@ class TestMotivationalScenario:
         ledger, trace = run(cfg, motivational_tasks, motivational_assignment)
         oracle = integrate_trace_energy(trace, 16 * MS, 2, params, cfg.e_sw_j)
         assert ledger.total_j == pytest.approx(oracle, rel=1e-3)
+
+
+class TestAnalyticOracle:
+    """With ``la_dvs``, actual times equal to the worst case and E_sw = 1 J,
+    the sleep threshold (about 7.2 s) lies past a 1 s horizon.  No core
+    sleeps and the dynamic sums never move, so the speed never changes and
+    the energy is exactly m * P(s) * T, s = min(1, max(largest static core
+    utilization, s_crit)).  The bound is the power table's interpolation
+    error (4.2e-9 measured worst over these cases); evaluating the power in
+    closed form in place of the table would tighten it to float round-off."""
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_constant_speed_energy_is_closed_form(self, params, derived, power_table, m):
+        f_max = closed_form_f_max(params)
+        for seed in range(1, 11):
+            spec = SweepSpec(axis="U", values=(0.3,), m=m, e_sw_j=1.0, cc_ratio=1.0,
+                             duration_ms=1000.0, repetitions=1, base_seed=seed)
+            task_set, assignment, cfg = repetition(spec, 0, 0, params, power_table)
+            assert all(assignment.core_tasks), seed   # no core starts asleep
+            sim = Simulator(dataclasses.replace(cfg, policy=PolicyKind.LA_DVS,
+                                                collect_trace=True), task_set, assignment)
+            assert sim.t_th_ns > sim.duration_ns
+            ledger, trace = sim.run()
+            events = [row[2] for row in trace]
+            assert events.count("speed_change") == 1, seed
+            assert "sleep" not in events and "wake" not in events, seed
+            assert ledger.switch_j == 0.0 and ledger.deadline_miss_count == 0
+            s = min(1.0, max(max(assignment.core_utilization), derived.critical_scale))
+            expected = m * closed_form_power(params, f_max, s) * 1.0
+            assert abs(ledger.total_j - expected) <= 1e-8 * expected, seed
 
 
 class TestIdlePowerReading:
@@ -392,16 +423,19 @@ SUM_REL_BOUND = 1e-15
 SUM_ABS_BOUND = 1e-18
 
 
-def check_core_sums(core, t_ns):
+def check_core_sums(core, t_ns, last_cc_ns):
     """A core's integer sums equal fresh integer re-sums of its members'
-    terms, each term is the reference utilization in ``UTIL_UNIT`` units, and
-    the sums as floats agree with the float re-sums."""
+    terms, each term is the reference utilization in ``UTIL_UNIT`` units
+    (from the task's worst case and ``last_cc_ns``, the actual time of its
+    latest completed job by task id), and the sums as floats agree with the
+    float re-sums."""
     where = (t_ns, core.index)
     assert core.dyn_util == sum(run.term for run in core.members), where
     assert core.static_util == sum(run.full for run in core.members), where
-    for run in core.members:
-        assert run.term == round(policies.task_dynamic_utilization(run, t_ns) * UTIL_UNIT), where
-    for exact, ref in ((core.dyn_util, policies.core_dynamic_utilization(core, t_ns)),
+    terms = dynamic_terms(core.members, t_ns, last_cc_ns)
+    for run, term in zip(core.members, terms):
+        assert run.term == round(policies.task_dynamic_utilization(*term) * UTIL_UNIT), where
+    for exact, ref in ((core.dyn_util, policies.core_dynamic_utilization(terms)),
                        (core.static_util, core_static_utilization(core))):
         assert abs(exact / UTIL_UNIT - ref) <= SUM_REL_BOUND * ref + SUM_ABS_BOUND, where
 
@@ -469,10 +503,16 @@ class CheckedSimulator(Simulator):
     gap to its next release against the sleep threshold, and a running
     core's job against the reference EDF pick of its queue.  It counts its
     ``_accrue`` and ``_recompute_speed`` calls, so a test can tell that the
-    between-batch checks ran."""
+    between-batch checks ran.  The reference terms read the actual time of
+    each task's latest completed job, which it records itself at each
+    completion."""
 
     loads = selects = accrues = recomputes = 0
     batch_events = None   # events the current batch handled; None before the first
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.last_cc_ns = {}   # task id -> actual time of its latest completed job
 
     def _release(self, run, t_ns):
         self.batch_events += 1
@@ -480,6 +520,8 @@ class CheckedSimulator(Simulator):
 
     def _complete(self, core, t_ns):
         self.batch_events += 1
+        job = core.running
+        self.last_cc_ns[job.task_id] = job.cc_ns
         super()._complete(core, t_ns)
         self.check_sums(t_ns)
 
@@ -497,7 +539,7 @@ class CheckedSimulator(Simulator):
 
     def check_sums(self, t_ns):
         for core in self.cores:
-            check_core_sums(core, t_ns)
+            check_core_sums(core, t_ns, self.last_cc_ns)
         check_max_util(self, t_ns)
 
     def _reallocate(self, run, t_ns):
@@ -513,7 +555,7 @@ class CheckedSimulator(Simulator):
         def checked(u_i, options, critical_scale):
             for u_dyn, idx, u_static in options:
                 core = self.cores[idx]
-                check_core_sums(core, t_ns)
+                check_core_sums(core, t_ns, self.last_cc_ns)
                 assert u_dyn == core.dyn_util / UTIL_UNIT, (t_ns, idx)
                 assert u_static == core.static_util / UTIL_UNIT, (t_ns, idx)
             self.selects += 1
@@ -666,8 +708,9 @@ class TestBacklogGuard:
         assert core.running is None and core.due_w == NEVER
         assert first.index == 1 and task_run.next_index == 3
         assert task_run.term == task_run.full == core.dyn_util
-        assert task_run.term == round(
-            policies.task_dynamic_utilization(task_run, 11 * MS) * UTIL_UNIT)
+        (term,) = dynamic_terms([task_run], 11 * MS, {0: first.cc_ns})
+        assert term == (task, None)
+        assert task_run.term == round(policies.task_dynamic_utilization(*term) * UTIL_UNIT)
 
         sim._dispatch(core, 11 * MS)
         second = core.running

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import pytest
@@ -124,6 +125,38 @@ class TestRunSweep:
         emit(run_sweep(tiny_spec(), params=params), p1)
         emit(run_sweep(tiny_spec(), params=params), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class RecordingPool:
+    """Stand-in for ``multiprocessing.Pool`` that records the process count
+    it is asked for and runs ``map`` in this process, so no process starts."""
+
+    def __init__(self, sizes, processes, initializer, initargs):
+        sizes.append(processes)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        harness._WORKER_CTX.clear()   # a worker's context goes with the worker
+
+    def map(self, func, jobs, chunksize=None):
+        return [func(job) for job in jobs]
+
+
+@pytest.mark.parametrize("jobs, workers, pools", [(2, 8, [2]), (1, 4, [])])
+def test_no_more_processes_than_jobs(monkeypatch, params, jobs, workers, pools):
+    """A sweep starts ``min(workers, jobs)`` processes, and none when that
+    is 1; the rows are those of a one-worker sweep either way, and that
+    sweep leaves no worker context behind."""
+    spec = tiny_spec(values=(0.2,), repetitions=jobs)
+    expected = run_sweep(spec, params=params, workers=1).rows
+    assert harness._WORKER_CTX == {}   # the one-worker sweep cleared its context
+    sizes = []
+    monkeypatch.setattr(harness, "Pool", functools.partial(RecordingPool, sizes))
+    assert run_sweep(spec, params=params, workers=workers).rows == expected
+    assert sizes == pools
 
 
 @pytest.mark.parametrize("workers", [0, -2])

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from conftest import compute_load_ns, core_next_release_ns, motivational_config
+from conftest import compute_load_ns, core_next_release_ns, dynamic_terms, motivational_config
 
 from coresleep import policies
 from coresleep.engine import Simulator, run
@@ -31,12 +31,11 @@ def sim(params, motivational_tasks, motivational_assignment):
 def to_state_after_first_cycle(sim):
     """State just after t = 2 ms releases: first invocations of tasks 1-3
     completed at their worst case, second invocations of tasks 1 and 3
-    released (pending), task 2 finished until its release at 4 ms."""
+    released (pending), task 2 finished until its release at 4 ms.  Returns
+    the tasks' latest actual times, by task id."""
     for task_id in (1, 2, 3):
-        run_state = sim.runs[task_id]
-        run_state.done = 1
-        run_state.last_cc_ns = run_state.task.wcet_ns
-    return sim
+        sim.runs[task_id].done = 1
+    return {task_id: sim.runs[task_id].task.wcet_ns for task_id in (1, 2, 3)}
 
 
 def release_all(sim, t_ns, task_ids):
@@ -278,13 +277,17 @@ class TestCommitInvariants:
 
 
 def test_dynamic_utilization_tracks_completion(sim):
+    def util(core, t_ns):
+        return core_dynamic_utilization(dynamic_terms(core.members, t_ns, last_cc_ns))
+
     # before anything runs, both cores carry their static utilization
-    assert core_dynamic_utilization(sim.cores[0], 0) == pytest.approx(0.3)
-    assert core_dynamic_utilization(sim.cores[1], 0) == pytest.approx(0.2)
-    to_state_after_first_cycle(sim)
+    last_cc_ns = {}
+    assert util(sim.cores[0], 0) == pytest.approx(0.3)
+    assert util(sim.cores[1], 0) == pytest.approx(0.2)
+    last_cc_ns = to_state_after_first_cycle(sim)
     # at t = 2 ms: tasks 1 and 3 pending again, task 2 at its actual time
-    assert core_dynamic_utilization(sim.cores[0], 2 * MS) == pytest.approx(0.3)
-    assert core_dynamic_utilization(sim.cores[1], 2 * MS) == pytest.approx(0.2)
+    assert util(sim.cores[0], 2 * MS) == pytest.approx(0.3)
+    assert util(sim.cores[1], 2 * MS) == pytest.approx(0.2)
     # halfway through the first period everything is finished
-    assert core_dynamic_utilization(sim.cores[0], int(1.8 * MS)) == pytest.approx(0.3)
-    assert core_dynamic_utilization(sim.cores[1], int(1.8 * MS)) == pytest.approx(0.2)
+    assert util(sim.cores[0], int(1.8 * MS)) == pytest.approx(0.3)
+    assert util(sim.cores[1], int(1.8 * MS)) == pytest.approx(0.2)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import next_release
+from conftest import dynamic_terms, next_release
 
 from coresleep.engine import TaskRun
 from coresleep.policies import task_dynamic_utilization
@@ -20,11 +20,11 @@ from coresleep.workload import (
 
 
 def finished_run(task, cc_ns):
-    """Task state with its first invocation completed at ``cc_ns``."""
+    """The (task, actual time) pair at t = 0 of a task whose first
+    invocation completed in ``cc_ns``."""
     run = TaskRun(task, 0, seed=0)
     run.done = 1
-    run.last_cc_ns = cc_ns
-    return run
+    return dynamic_terms([run], 0, {task.id: cc_ns})[0]
 
 
 class TestTask:
@@ -49,15 +49,17 @@ class TestTask:
 class TestDynamicUtilization:
     def test_unfinished_uses_worst_case(self):
         task = task_from_ms(0, 2.0, 0.6)
-        assert task_dynamic_utilization(TaskRun(task, 0, seed=0), 0) == 0.3
+        (pending,) = dynamic_terms([TaskRun(task, 0, seed=0)], 0, {})
+        assert pending == (task, None)
+        assert task_dynamic_utilization(*pending) == 0.3
 
     def test_finished_uses_actual(self):
         task = task_from_ms(0, 4.0, 0.4)
-        assert task_dynamic_utilization(finished_run(task, 0.2 * NS_PER_MS), 0) == 0.05
+        assert task_dynamic_utilization(*finished_run(task, 0.2 * NS_PER_MS)) == 0.05
 
     def test_finished_at_worst_case_equals_static(self):
         task = task_from_ms(0, 4.0, 0.4)
-        assert task_dynamic_utilization(finished_run(task, task.wcet_ns), 0) == task.utilization
+        assert task_dynamic_utilization(*finished_run(task, task.wcet_ns)) == task.utilization
 
 
 class TestNextRelease:
@@ -123,7 +125,7 @@ class TestGenerator:
         task = task_from_ms(0, 10.0, 3.0)
         for _ in range(1000):
             cc = draw_actual_ratio(0.5, rng) * task.wcet_ns
-            assert task_dynamic_utilization(finished_run(task, cc), 0) <= task.utilization
+            assert task_dynamic_utilization(*finished_run(task, cc)) <= task.utilization
 
 
 class TestActualRatio:
