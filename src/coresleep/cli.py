@@ -47,19 +47,19 @@ def _sweep_axis(text):
 def _add_common(parser):
     parser.add_argument("--constants", metavar="FILE", default=None,
                         help="technology constants file (default: packaged 70nm set)")
-    parser.add_argument("--cores", type=int, default=2, metavar="M")
-    parser.add_argument("--util", type=float, default=0.3, metavar="U",
+    parser.add_argument("--cores", type=int, default=SweepSpec.m, metavar="M")
+    parser.add_argument("--util", type=float, default=SweepSpec.u, metavar="U",
                         help="per-core average utilization")
-    parser.add_argument("--esw", type=float, default=5e-4, metavar="J",
+    parser.add_argument("--esw", type=float, default=SweepSpec.e_sw_j, metavar="J",
                         help="sleep-to-active switching energy")
-    parser.add_argument("--cc-ratio", type=float, default=0.5, metavar="R",
+    parser.add_argument("--cc-ratio", type=float, default=SweepSpec.cc_ratio, metavar="R",
                         help="mean actual-to-worst-case execution ratio")
-    parser.add_argument("--tasks", type=lambda s: _pair(s, int), default=(10, 20),
+    parser.add_argument("--tasks", type=lambda s: _pair(s, int), default=SweepSpec.n_range,
                         metavar="N_MIN:N_MAX")
-    parser.add_argument("--periods", type=lambda s: _pair(s, float), default=(10.0, 100.0),
-                        metavar="MS_MIN:MS_MAX")
-    parser.add_argument("--duration", type=float, default=10_000.0, metavar="MS")
-    parser.add_argument("--seed", type=int, default=1, metavar="S")
+    parser.add_argument("--periods", type=lambda s: _pair(s, float),
+                        default=SweepSpec.period_range_ms, metavar="MS_MIN:MS_MAX")
+    parser.add_argument("--duration", type=float, default=SweepSpec.duration_ms, metavar="MS")
+    parser.add_argument("--seed", type=int, default=SweepSpec.base_seed, metavar="S")
 
 
 def build_parser():
@@ -82,7 +82,7 @@ def build_parser():
                        metavar="AXIS=START:STOP:STEP",
                        help="axis is one of U, E_sw, m, cc_ratio; a bare axis "
                             "name uses its canonical experiment grid")
-    sweep.add_argument("--runs", type=int, default=100, metavar="K")
+    sweep.add_argument("--runs", type=int, default=SweepSpec.repetitions, metavar="K")
     sweep.add_argument("--out", required=True, metavar="PATH")
     sweep.add_argument("--workers", type=int, default=1,
                        help="parallel repetitions; output is identical either way")

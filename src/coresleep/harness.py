@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from multiprocessing import Pool
 
 from . import engine
@@ -24,7 +24,9 @@ from .workload import (
     NS_PER_MS, WorkloadError, check_period_range, check_task_range, generate_task_set,
 )
 
-AXES = ("U", "E_sw", "m", "cc_ratio")
+# Each axis and the fixed input it replaces.
+AXIS_FIELDS = {"U": "u", "E_sw": "e_sw_j", "m": "m", "cc_ratio": "cc_ratio"}
+AXES = tuple(AXIS_FIELDS)
 POLICY_ORDER = (PolicyKind.PURE_DVS, PolicyKind.LA_DVS, PolicyKind.LA_REALLOC)
 
 # Canonical grids for the four comparative experiments; any sweep may
@@ -82,8 +84,8 @@ class SweepSpec:
         object.__setattr__(self, "values", vals)
         for value in vals:
             _check_axis_value(self.axis, value)
-        for axis, value in zip(AXES, (self.u, self.e_sw_j, self.m, self.cc_ratio)):
-            _check_axis_value(axis, value)
+        for axis, name in AXIS_FIELDS.items():
+            _check_axis_value(axis, getattr(self, name))
         check_task_range(self.n_range)
         check_period_range(self.period_range_ms)
         duration = self.duration_ms
@@ -94,16 +96,9 @@ class SweepSpec:
 
     def fixed_for(self, value):
         """The (u, e_sw, m, cc_ratio) tuple with the axis value applied."""
-        u, e_sw, m, cc = self.u, self.e_sw_j, self.m, self.cc_ratio
-        if self.axis == "U":
-            u = value
-        elif self.axis == "E_sw":
-            e_sw = value
-        elif self.axis == "m":
-            m = int(value)
-        else:
-            cc = value
-        return u, e_sw, m, cc
+        fixed = [getattr(self, name) for name in AXIS_FIELDS.values()]
+        fixed[AXES.index(self.axis)] = int(value) if self.axis == "m" else value
+        return tuple(fixed)
 
 
 @dataclass
@@ -254,21 +249,14 @@ def emit(result: SweepResult, path) -> None:
     """Write the sweep CSV (with a provenance header) and a companion plot
     script next to it.  Re-emitting the same result is byte-identical."""
     spec = result.spec
-    lines = []
-    lines.append("# coresleep sweep result")
-    lines.append(f"# axis = {spec.axis}")
-    lines.append(f"# values = {','.join(repr(v) for v in spec.values)}")
-    lines.append(f"# u = {spec.u!r}")
-    lines.append(f"# e_sw_j = {spec.e_sw_j!r}")
-    lines.append(f"# m = {spec.m!r}")
-    lines.append(f"# cc_ratio = {spec.cc_ratio!r}")
-    lines.append(f"# n_range = {spec.n_range[0]}:{spec.n_range[1]}")
-    lines.append(f"# period_range_ms = {spec.period_range_ms[0]!r}:{spec.period_range_ms[1]!r}")
-    lines.append(f"# duration_ms = {spec.duration_ms!r}")
-    lines.append(f"# repetitions = {spec.repetitions}")
-    lines.append(f"# base_seed = {spec.base_seed}")
-    skipped_total = sum(result.skipped.values())
-    lines.append(f"# skipped_repetitions = {skipped_total}")
+    lines = ["# coresleep sweep result"]
+    for field in fields(spec):
+        value = getattr(spec, field.name)
+        if isinstance(value, tuple):
+            # the axis values joined by commas, a (min, max) range by a colon
+            value = ("," if field.name == "values" else ":").join(map(str, value))
+        lines.append(f"# {field.name} = {value}")
+    lines.append(f"# skipped_repetitions = {sum(result.skipped.values())}")
     lines.append("axis,value,policy,energy_j,normalized,misses,wakes,failed_sleeps,runs")
     for row in result.rows:
         lines.append(
@@ -307,32 +295,21 @@ print("wrote", {stem + ".png"!r})
         fh.write(body)
 
 
-def run_single(
-    params: PowerParams,
-    policy: PolicyKind,
-    m: int = 2,
-    u: float = 0.3,
-    e_sw_j: float = 5e-4,
-    cc_ratio: float = 0.5,
-    n_range: tuple[int, int] = (10, 20),
-    period_range_ms: tuple[float, float] = (10.0, 100.0),
-    duration_ms: float = 10_000.0,
-    seed: int = 1,
-    collect_trace: bool = False,
-):
+def run_single(params: PowerParams, policy: PolicyKind, seed: int = SweepSpec.base_seed,
+               collect_trace: bool = False, **inputs):
     """Generate one instance and simulate it under one policy.
 
-    The run is repetition 0 of the one-point sweep over U = ``u`` with base
-    seed ``seed``, so its inputs are checked as that sweep's are, before
-    anything is drawn, and its energy and counts equal the sweep's row for
-    ``policy``.
+    ``inputs`` are keyword fixed inputs of ``SweepSpec`` (``m``, ``u``,
+    ``e_sw_j``, ``cc_ratio``, ``n_range``, ``period_range_ms``,
+    ``duration_ms``), each defaulting as there.  The run is repetition 0 of
+    the one-point sweep over U = ``u`` with base seed ``seed``, so its inputs
+    are checked as that sweep's are, before anything is drawn, and its energy
+    and counts equal the sweep's row for ``policy``.
 
     Returns (task_set, assignment, ledger, trace).
     """
-    spec = SweepSpec(
-        axis="U", values=(u,), u=u, e_sw_j=e_sw_j, m=m, cc_ratio=cc_ratio, n_range=n_range,
-        period_range_ms=period_range_ms, duration_ms=duration_ms, repetitions=1, base_seed=seed,
-    )
+    spec = SweepSpec(axis="U", values=(inputs.get("u", SweepSpec.u),), repetitions=1,
+                     base_seed=seed, **inputs)
     built = repetition(spec, 0, 0, params)
     if built is None:
         raise PartitionError(f"no feasible partition for seed {seed} after resampling")

@@ -64,6 +64,13 @@ MUTANTS = [
      "processes = min(workers, len(jobs))", "processes = workers"),
     ("run_sweep keeps its worker context", "harness.py",
      "_WORKER_CTX.clear()", "pass"),
+    ("queued jobs due at the horizon not counted as misses", "engine.py",
+     "if job.deadline_ns <= duration:", "if job.deadline_ns < duration:"),
+    ("run_single returns None without a feasible partition", "harness.py",
+     'raise PartitionError(f"no feasible partition for seed {seed} after resampling")',
+     "return None"),
+    ("provenance header drops the axis line", "harness.py",
+     "for field in fields(spec):", "for field in fields(spec)[1:]:"),
 ]
 
 FAILED = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - |$)", re.MULTILINE)

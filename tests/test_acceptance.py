@@ -229,7 +229,8 @@ def test_criterion_6_safety_properties(params, derived, power_table):
             m = 2
         e_sw = e_grid[seed % len(e_grid)]
         cc = cc_grid[seed % len(cc_grid)]
-        instance = _instance_for(seed, (10, 20), u * m, m, (10.0, 100.0), 50)
+        instance = _instance_for(seed, SweepSpec.n_range, u * m, m, SweepSpec.period_range_ms,
+                                 SweepSpec.max_partition_retries)
         if instance is None:
             continue
         task_set, assignment = instance

@@ -182,6 +182,7 @@ def test_non_finite_grid_rejected(tmp_path, capsys, grid):
     (["--periods", "100:10"], "period range"),
     (["--duration", "0"], "duration"),
     (["--duration", "1e-7"], "rounds below 1 ns"),
+    (["--runs", "0"], "need at least one repetition"),
 ])
 def test_bad_sweep_input_fails(tmp_path, capsys, args, word):
     out = tmp_path / "x.csv"
@@ -211,6 +212,15 @@ def test_simulate_names_bad_input(capsys, args, message):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith(message)
+
+
+def test_simulate_without_a_feasible_partition_fails(capsys):
+    # U = 1.0 on two cores with one task: the task alone needs more than a core
+    code = main(["simulate", "--cores", "2", "--util", "1.0", "--tasks", "1:1",
+                 "--duration", "100"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err == "error: no feasible partition for seed 1 after resampling\n" and out == ""
 
 
 def test_sweep_rejects_task_range_beyond_generator(tmp_path, capsys):

@@ -795,6 +795,27 @@ class TestSameInstantCompletions:
         assert ledger.idle_j == pytest.approx([sim.power * 1e-3, sim.power * 1.5e-3], rel=1e-9)
 
 
+@pytest.mark.parametrize("policy", list(PolicyKind))
+def test_jobs_queued_at_the_horizon_count_as_misses(params, policy):
+    """Two tasks of period 10 ms and worst case 6 ms on one core overload it.
+    Of the ten jobs released before the 50 ms horizon, eight complete, five
+    of them late; the two due at 50 ms are still queued at the horizon and
+    count as missed too."""
+    tasks = TaskSet(tasks=(task_from_ms(1, 10.0, 6.0), task_from_ms(2, 10.0, 6.0)))
+    assignment = Assignment(core_tasks=((1, 2),), core_utilization=(1.2,))
+    cfg = SimConfig(params=params, cores=1, duration_ms=50.0, cc_mean_ratio=1.0,
+                    policy=policy, collect_trace=True)
+    ledger, trace = run(cfg, tasks, assignment)
+    completed, late = {}, 0
+    for t, _c, ev, task, _d in trace:
+        if ev == "complete":
+            # a task's jobs complete in order; its k-th is due at k periods
+            completed[task] = completed.get(task, 0) + 1
+            late += t > completed[task] * 10 * MS
+    assert completed == {1: 4, 2: 4} and late == 5
+    assert ledger.deadline_miss_count == late + 2
+
+
 class StrayRelease(Simulator):
     """At its first completion, puts a release of another core's task into
     the event heap one nanosecond before that completion."""

@@ -232,6 +232,26 @@ class TestEmit:
         assert lines[header_idx] == "axis,value,policy,energy_j,normalized,misses,wakes,failed_sleeps,runs"
         assert len(lines) - header_idx - 1 == len(result.rows)
 
+    def test_provenance_header_text(self, params, tmp_path):
+        path = tmp_path / "out.csv"
+        emit(run_sweep(tiny_spec(), params=params), path)
+        comments = [ln for ln in path.read_text().splitlines() if ln.startswith("#")]
+        assert comments == [
+            "# coresleep sweep result",
+            "# axis = U",
+            "# values = 0.2,0.4",
+            "# u = 0.3",
+            "# e_sw_j = 0.0005",
+            "# m = 2",
+            "# cc_ratio = 0.5",
+            "# n_range = 3:5",
+            "# period_range_ms = 10.0:100.0",
+            "# duration_ms = 400.0",
+            "# repetitions = 3",
+            "# base_seed = 11",
+            "# skipped_repetitions = 0",
+        ]
+
     def test_plot_script_compiles(self, params, tmp_path):
         result = run_sweep(tiny_spec(), params=params)
         path = tmp_path / "out.csv"
