@@ -9,12 +9,13 @@ clocks instead of per-core progress: a work clock W (the integral of the
 speed over time) and an energy clock E (the integral of the power one awake
 core draws).  Each batch of equal-time events advances both in O(1).  A
 running core holds the value of W at which its job ends, and a completion
-heap orders those values, so a speed change re-times no core: the next
-completion instant is t + round((due_w - W) / speed), timed from the latest
-batch.  When an awake core's state changes (a start from idle, a
-completion, a sleep, the end of the run) it charges the energy clock's
-advance since that state began to its busy or idle energy; a wake starts
-the count anew.
+heap holds one entry per running core, ordered by those values (a preemption
+takes the preempted job's entry out), so a speed change re-times no core:
+the next completion instant is t + round((due_w - W) / speed) for the top
+entry, timed from the latest batch.  When an awake core's state changes (a
+start from idle, a completion, a sleep, the end of the run) it charges the
+energy clock's advance since that state began to its busy or idle energy; a
+wake starts the count anew.
 
 Releases wait in the event heap.  Equal-time events are handled releases
 first (by task id), then completions (by core index); then each sleeping core
@@ -84,7 +85,8 @@ class Core:
         self.state = ACTIVE
         self.running = None
         self.dyn_util = self.static_util = 0   # members' Σ term and Σ full
-        # The work clock's value at the running job's end; NEVER otherwise.
+        # The work clock's value at the running job's end; read only while a
+        # job runs.
         self.due_w = NEVER
         # The energy clock's value when the core's busy or idle state began.
         self.since_j = 0.0
@@ -202,8 +204,8 @@ class Simulator:
         # The clocks: work done at the global speed, and energy one awake
         # core draws, both since t = 0.
         self.work = self.energy = 0.0
-        # Heap of (due_w, core index) per dispatch; an entry is stale once its
-        # core's due_w differs (the job was preempted or has completed).
+        # Heap of (due_w, core index), one entry per running core: a dispatch
+        # pushes it, a preemption or the completion takes it out.
         self._due: list = []
         self._speed_cache = (-1, 0.0)   # (max_util, the policy's speed for it)
         # Core indices an event of the current batch changed (to dispatch).
@@ -264,21 +266,12 @@ class Simulator:
     def _take_due(self, dt_ns, work0):
         """Pop the completions that end ``dt_ns`` after the previous batch,
         timed from the work clock ``work0`` there; returns their core indices
-        in order."""
-        due_heap, cores, speed = self._due, self.cores, self.speed
-        # The first entry is pending and due: the caller timed it.
+        in order.  The top entry is due (the caller timed it), and the entries
+        that round to the same instant follow it."""
+        due_heap, speed = self._due, self.speed
         found = [heapq.heappop(due_heap)[1]]
-        while due_heap:
-            due_w, i = due_heap[0]
-            core = cores[i]
-            if core.due_w == due_w:
-                if int((due_w - work0) / speed + 0.5) != dt_ns:
-                    break
-                # A job preempted by one that ends at once resumes with its
-                # due_w unchanged, so its entry can be there twice.
-                if i not in found:
-                    found.append(i)
-            heapq.heappop(due_heap)
+        while due_heap and int((due_heap[0][0] - work0) / speed + 0.5) == dt_ns:
+            found.append(heapq.heappop(due_heap)[1])
         found.sort()
         return found
 
@@ -315,7 +308,6 @@ class Simulator:
             heapq.heapify(ready)
         self._settle(core)
         core.running = None
-        core.due_w = NEVER
         run = self.runs[job.task_id]
         run.done = job.index
         # A backlogged job finishing after its successor's release leaves the
@@ -373,6 +365,8 @@ class Simulator:
             # idle up to now (nothing when a job completed in this batch)
             self._settle(core)
         else:
+            self._due.remove((core.due_w, core.index))
+            heapq.heapify(self._due)
             running.remaining_ns = core.due_w - self.work
             if self.trace is not None:
                 self.trace.append((t_ns, core.index, "preempt", running.task_id, ""))
@@ -479,18 +473,12 @@ class Simulator:
         heappop = heapq.heappop
         t_now = 0
         while True:
-            # The next completion is the first entry still pending, timed from
-            # the latest batch (a running core's due_w is never behind the
-            # work clock); the sub-nanosecond residue of the rounding is
-            # dropped with the completed job.
-            while due_heap:
-                due_w, i = due_heap[0]
-                if cores[i].due_w == due_w:
-                    due = t_now + int((due_w - self.work) / self.speed + 0.5)
-                    break
-                heappop(due_heap)
-            else:
-                due = NEVER
+            # The next completion is the top entry, timed from the latest batch
+            # (a running core's due_w is never behind the work clock); the
+            # sub-nanosecond residue of the rounding is dropped with the
+            # completed job.
+            due = (t_now + int((due_heap[0][0] - self.work) / self.speed + 0.5)
+                   if due_heap else NEVER)
             t = heap[0][0] if heap and heap[0][0] < due else due
             if t >= duration:
                 break

@@ -102,8 +102,9 @@ def uunifast(n: int, u_target: float, rng: random.Random) -> list[float]:
 
 def check_period_range(period_range_ms: tuple[float, float]) -> None:
     lo_ms, hi_ms = period_range_ms
-    if not (0 < lo_ms <= hi_ms and math.isfinite(hi_ms)):
-        raise WorkloadError(f"period range {lo_ms!r}:{hi_ms!r} needs 0 < MIN <= MAX, both finite")
+    if not (0 < lo_ms <= hi_ms and math.isfinite(hi_ms) and round(lo_ms * NS_PER_MS) >= 1):
+        raise WorkloadError(f"period range {lo_ms!r}:{hi_ms!r} needs 0 < MIN <= MAX, both "
+                            "finite, with MIN at least 1 ns after rounding")
 
 
 def check_task_range(n_range: tuple[int, int]) -> None:

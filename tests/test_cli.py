@@ -183,6 +183,7 @@ def test_non_finite_grid_rejected(tmp_path, capsys, grid):
     (["--duration", "0"], "duration"),
     (["--duration", "1e-7"], "rounds below 1 ns"),
     (["--runs", "0"], "need at least one repetition"),
+    (["--periods", "1e-7:1e-7"], "period range 1e-07:1e-07"),
 ])
 def test_bad_sweep_input_fails(tmp_path, capsys, args, word):
     out = tmp_path / "x.csv"
@@ -193,11 +194,16 @@ def test_bad_sweep_input_fails(tmp_path, capsys, args, word):
     assert not out.exists()
 
 
-def test_simulate_rejects_bad_period_range(capsys):
-    code = main(["simulate", "--periods", "100:10", "--duration", "100"])
+@pytest.mark.parametrize("periods, shown", [
+    pytest.param("100:10", "100.0:10.0", id="max-below-min"),
+    # MIN and MAX of 0.1 ns: every drawn period rounds to 0 ns
+    pytest.param("1e-7:1e-7", "1e-07:1e-07", id="sub-ns"),
+])
+def test_simulate_rejects_bad_period_range(capsys, periods, shown):
+    code = main(["simulate", "--periods", periods, "--duration", "100"])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("error: period range 100.0:10.0")
+    assert err.startswith(f"error: period range {shown}")
 
 
 @pytest.mark.parametrize("args, message", [

@@ -446,17 +446,18 @@ def check_max_util(sim, t_ns):
 
 def check_due(sim, core, t_ns):
     """A core's due work fits its state: while running, a finite value not
-    behind the work clock, with its entry in the completion heap; never
-    otherwise; and a sleeping core has no ready work, since a batch that
-    leaves work on it wakes it."""
+    behind the work clock, and its one entry in the completion heap; no
+    entry otherwise; and a sleeping core runs nothing and has no ready work,
+    since a batch that leaves work on it wakes it."""
     where = (t_ns, core.index)
-    if core.state == SLEEPING:
-        assert core.due_w == NEVER and not core.ready, where
-    elif core.running is not None:
+    entries = [due_w for due_w, i in sim._due if i == core.index]
+    if core.running is not None:
         assert sim.work <= core.due_w < NEVER, where
-        assert (core.due_w, core.index) in sim._due, where
+        assert entries == [core.due_w], where
     else:
-        assert core.due_w == NEVER, where
+        assert entries == [], where
+    if core.state == SLEEPING:
+        assert core.running is None and not core.ready, where
 
 
 def check_index_state(home, run, t_ns):
@@ -478,12 +479,12 @@ def check_index_state(home, run, t_ns):
 
 
 def check_completion_heap(sim, t_ns):
-    """The first pending entry of the completion heap (one whose value is
-    still its core's due_w) holds the smallest due_w over the running
-    cores."""
-    pending = [due_w for due_w, i in sim._due if sim.cores[i].due_w == due_w]
-    running = [core.due_w for core in sim.cores if core.running is not None]
-    assert min(pending, default=NEVER) == min(running, default=NEVER), t_ns
+    """The completion heap holds exactly the (due_w, index) pair of each
+    running core, in heap order, so its top is the next completion."""
+    due = sim._due
+    running = [(core.due_w, core.index) for core in sim.cores if core.running is not None]
+    assert sorted(due) == sorted(running), t_ns
+    assert all(due[(k - 1) // 2] <= due[k] for k in range(1, len(due))), t_ns
 
 
 class CheckedSimulator(Simulator):
@@ -495,17 +496,17 @@ class CheckedSimulator(Simulator):
     attempt, the job indices the hook reads against the home queue; the
     pending load handed to ``compute_dt_ns`` (bit for bit) and every option
     handed to ``select_core``; and between event batches the largest sum,
-    each core's next release and due work (never while asleep, with an empty queue),
-    that the first pending entry of the completion heap is the smallest due
-    work over the running cores, that no core would act if it were
-    dispatched, and that the batch handled an event.  The fixed-point check
-    reads numbers and a reference, not engine flags: an awake idle core's
-    gap to its next release against the sleep threshold, and a running
-    core's job against the reference EDF pick of its queue.  It counts its
-    ``_accrue`` and ``_recompute_speed`` calls, so a test can tell that the
-    between-batch checks ran.  The reference terms read the actual time of
-    each task's latest completed job, which it records itself at each
-    completion."""
+    each core's next release and due work (no completion entry while idle or
+    asleep, and an empty queue while asleep), that the completion heap holds
+    exactly one entry per running core, in heap order, that no core would
+    act if it were dispatched, and that the batch handled an event.  The
+    fixed-point check reads numbers and a reference, not engine flags: an
+    awake idle core's gap to its next release against the sleep threshold,
+    and a running core's job against the reference EDF pick of its queue.
+    It counts its ``_accrue`` and ``_recompute_speed`` calls, so a test can
+    tell that the between-batch checks ran.  The reference terms read the
+    actual time of each task's latest completed job, which it records itself
+    at each completion."""
 
     loads = selects = accrues = recomputes = 0
     batch_events = None   # events the current batch handled; None before the first
@@ -704,8 +705,9 @@ class TestBacklogGuard:
         first = core.running
         assert first.cc_ns < task.wcet_ns
         sim._release(task_run, 10 * MS)
+        assert sim._take_due(11 * MS, 0.0) == [core.index]
         sim._complete(core, 11 * MS)
-        assert core.running is None and core.due_w == NEVER
+        assert core.running is None and sim._due == []
         assert first.index == 1 and task_run.next_index == 3
         assert task_run.term == task_run.full == core.dyn_util
         (term,) = dynamic_terms([task_run], 11 * MS, {0: first.cc_ns})
@@ -718,6 +720,55 @@ class TestBacklogGuard:
         sim._complete(core, 15 * MS)
         assert core.dyn_util == task_run.term == round(second.cc_ns / task.period_ns * UTIL_UNIT)
         assert task_run.term < task_run.full
+
+
+class TestCompletionHeap:
+    def test_preempt_and_resume_keep_one_entry_per_running_core(self, params):
+        """Drives a run by hand at speed 1 (work and time advance alike), as
+        ``run`` would: core 0 holds tasks 0 (10 ms period, 4 ms) and 1 (2 ms,
+        0.5 ms), core 1 holds task 2 (10 ms, 3 ms).  Task 1's job released at
+        2 ms preempts task 0, whose entry leaves the heap; task 0 resumes at
+        2.5 ms under one new entry, and core 1's entry stays put throughout."""
+        task_set = TaskSet(tasks=(task_from_ms(0, 10.0, 4.0), task_from_ms(1, 2.0, 0.5),
+                                  task_from_ms(2, 10.0, 3.0)))
+        assignment = Assignment(core_tasks=((0, 1), (2,)), core_utilization=(0.45, 0.3))
+        cfg = SimConfig(params=params, cores=2, duration_ms=10.0, cc_mean_ratio=1.0,
+                        policy=PolicyKind.LA_DVS, critical_scale_override=1.0)
+        sim = Simulator(cfg, task_set, assignment)
+        runs, (core0, core1) = sim.runs, sim.cores
+        sim._recompute_speed(0)
+        assert sim.speed == 1.0
+        t_prev = 0
+
+        def step(t_ns, released=(), done=()):
+            """One batch at ``t_ns``: advance the clocks, release, complete
+            the cores in ``done`` and dispatch both cores."""
+            nonlocal t_prev
+            work0 = sim.work
+            sim._accrue(t_prev, t_ns)
+            for task_id in released:
+                sim._release(runs[task_id], t_ns)
+            if done:
+                assert sim._take_due(t_ns - t_prev, work0) == list(done)
+                for i in done:
+                    sim._complete(sim.cores[i], t_ns)
+            for core in sim.cores:
+                sim._dispatch(core, t_ns)
+            t_prev = t_ns
+            check_completion_heap(sim, t_ns)
+            return sorted(sim._due)
+
+        assert step(0, released=(0, 1, 2)) == [(0.5 * MS, 0), (3 * MS, 1)]
+        assert core0.running.task_id == 1 and core1.running.task_id == 2
+        assert step(MS // 2, done=(0,)) == [(3 * MS, 1), (4.5 * MS, 0)]
+        first = core0.running
+        assert first.task_id == 0
+        assert step(2 * MS, released=(1,)) == [(2.5 * MS, 0), (3 * MS, 1)]
+        assert core0.running.task_id == 1 and first.remaining_ns == 2.5 * MS
+        assert step(2 * MS + MS // 2, done=(0,)) == [(3 * MS, 1), (5 * MS, 0)]
+        assert core0.running is first
+        assert step(3 * MS, done=(1,)) == [(5 * MS, 0)]
+        assert core1.running is None
 
 
 class TestBacklogPin:
@@ -742,21 +793,36 @@ class TestBacklogPin:
         assert reallocs == [(0, 0, 3, "from=1"), (2 * MS, 1, 3, "from=0")]
 
 
-def full_speed_run(params, tasks, core_tasks, duration_ms):
+def full_speed_run(params, tasks, core_tasks, duration_ms, simulator=Simulator):
     """Traced ``la_dvs`` run with the speed pinned at 1 (critical scale 1), so
     work and time advance alike, actual times equal to the worst case, and no
-    sleep (threshold beyond the horizon); returns the simulator, ledger and
-    the (time, core, event, task) of each start, preempt and complete row."""
+    sleep (threshold beyond the horizon), on a ``simulator``; returns the
+    simulator, ledger and the (time, core, event, task) of each start,
+    preempt and complete row."""
     task_set = TaskSet(tasks=tuple(tasks))
     assignment = Assignment(core_tasks=core_tasks, core_utilization=(0.0,) * len(core_tasks))
     cfg = SimConfig(params=params, cores=len(core_tasks), duration_ms=duration_ms,
                     cc_mean_ratio=1.0, policy=PolicyKind.LA_DVS, critical_scale_override=1.0,
                     t_th_ms_override=1000.0, collect_trace=True)
-    sim = Simulator(cfg, task_set, assignment)
+    sim = simulator(cfg, task_set, assignment)
     ledger, trace = sim.run()
     rows = [(t, c, ev, task) for (t, c, ev, task, _d) in trace
             if ev in ("start", "preempt", "complete")]
     return sim, ledger, trace, rows
+
+
+class DueRecorder(Simulator):
+    """Records the completion heap, sorted, after each dispatch as (instant,
+    core, running task id or None, entries)."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.dispatches = []
+
+    def _dispatch(self, core, t_ns):
+        super()._dispatch(core, t_ns)
+        task_id = None if core.running is None else core.running.task_id
+        self.dispatches.append((t_ns, core.index, task_id, sorted(self._due)))
 
 
 class TestSameInstantCompletions:
@@ -776,20 +842,38 @@ class TestSameInstantCompletions:
         assert ledger.busy_j[0] == pytest.approx(sim.power * 5e-3, rel=1e-12)
         assert ledger.idle_j[0] == pytest.approx(sim.power * 1e-3, rel=1e-12)
 
+    def test_completions_on_two_cores_share_one_batch(self, params):
+        """Tasks 0 and 1 complete at 2 ms on cores 0 and 1: both completions
+        are handled before core 0 starts its next job, task 2."""
+        tasks = [task_from_ms(0, 10.0, 2.0), task_from_ms(1, 10.0, 2.0),
+                 task_from_ms(2, 10.0, 1.0)]
+        _sim, ledger, _trace, rows = full_speed_run(params, tasks, ((0, 2), (1,)), 4.0)
+        assert rows == [
+            (0, 0, "start", 0), (0, 1, "start", 1), (2 * MS, 0, "complete", 0),
+            (2 * MS, 1, "complete", 1), (2 * MS, 0, "start", 2), (3 * MS, 0, "complete", 2),
+        ]
+        assert ledger.deadline_miss_count == 0
+
     def test_zero_length_job_preempts_and_completes_at_its_release(self, params):
         """Task 0's jobs take 0.1 ns, which rounds to 0: each starts and
         completes at its release.  At 3 ms one preempts task 1 and ends at
         once, so task 1 resumes with no work done since its preemption and
-        still completes at 4 ms, once.  Core 1's job, due at 3.5 ms, lies
-        between the two."""
+        still completes at 4 ms, once, under a single entry of the completion
+        heap.  Core 1's job, due at 3.5 ms, lies between the two."""
         tasks = [Task(id=0, period_ns=3 * MS, wcet_ns=0.1), task_from_ms(1, 10.0, 4.0),
                  task_from_ms(2, 10.0, 3.5)]
-        sim, ledger, _trace, rows = full_speed_run(params, tasks, ((0, 1), (2,)), 5.0)
+        sim, ledger, _trace, rows = full_speed_run(params, tasks, ((0, 1), (2,)), 5.0,
+                                                   simulator=DueRecorder)
         assert rows == [
             (0, 0, "start", 0), (0, 1, "start", 2), (0, 0, "complete", 0), (0, 0, "start", 1),
             (3 * MS, 0, "preempt", 1), (3 * MS, 0, "start", 0), (3 * MS, 0, "complete", 0),
             (3 * MS, 0, "start", 1), (3_500_000, 1, "complete", 2), (4 * MS, 0, "complete", 1),
         ]
+        at_3ms = [(task, due) for t, i, task, due in sim.dispatches if (t, i) == (3 * MS, 0)]
+        assert [task for task, _due in at_3ms] == [0, 1]
+        resumed = at_3ms[-1][1]
+        assert [i for _w, i in resumed] == [1, 0]
+        assert resumed[0][0] == 3.5 * MS and resumed[1][0] == pytest.approx(4 * MS)
         assert ledger.deadline_miss_count == 0
         assert ledger.busy_j == pytest.approx([sim.power * 4e-3, sim.power * 3.5e-3], rel=1e-9)
         assert ledger.idle_j == pytest.approx([sim.power * 1e-3, sim.power * 1.5e-3], rel=1e-9)

@@ -63,7 +63,7 @@ class TestSpecValidation:
         with pytest.raises(SweepError):
             tiny_spec(**fixed)
 
-    @pytest.mark.parametrize("periods", [(100.0, 10.0), (0.0, 10.0), (-5.0, 10.0)])
+    @pytest.mark.parametrize("periods", [(100.0, 10.0), (0.0, 10.0), (-5.0, 10.0), (1e-7, 1e-7)])
     def test_period_range(self, periods):
         with pytest.raises(WorkloadError, match="period range"):
             tiny_spec(period_range_ms=periods)
