@@ -40,6 +40,8 @@ def _sweep_axis(text):
     v = start
     while v <= stop + 1e-9:
         values.append(int(round(v)) if axis == "m" else round(v, 12))
+        if v + step == v:
+            raise argparse.ArgumentTypeError(f"STEP {step!r} does not advance the value {v!r}")
         v += step
     return axis, tuple(values)
 

@@ -18,9 +18,9 @@ energy clock's advance since that state began to its busy or idle energy; a
 wake starts the count anew.
 
 Releases wait in the event heap.  Equal-time events are handled releases
-first (by task id), then completions (by core index); then each sleeping core
-the batch left with ready work wakes, by core index.  Together with
-integer-nanosecond timestamps this makes every run bit-reproducible.
+first (by task id), then completions (by core index); then the released jobs
+are queued, and each sleeping core the batch left with ready work wakes, by
+core index.  Integer-nanosecond timestamps make every run bit-reproducible.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from . import policies
 from .partition import Assignment
 from .policies import PolicyKind
 from .power import PowerParams, PowerTable, derive_speeds, sleep_threshold
-from .workload import NS_PER_MS, Job, TaskSet, draw_actual_ratio
+from .workload import NS_PER_MS, Job, TaskSet, draw_actual_ratio, left_sum
 
 ACTIVE, SLEEPING = 0, 1
 NEVER = float("inf")
@@ -79,8 +79,8 @@ class Core:
         self.index = index
         self.members = []          # TaskRun list, sorted by task id
         self.nexts = []            # heap of the members' next release instants
-        # heap of (deadline, task id, job) of the released unfinished jobs
-        # (running included): the EDF pick is the top
+        # heap of (deadline, task id, job) of the unfinished jobs released
+        # before the current batch (running included): the EDF pick is the top
         self.ready = []
         self.state = ACTIVE
         self.running = None
@@ -110,15 +110,15 @@ class EnergyLedger:
 
     @property
     def busy_total_j(self) -> float:
-        return sum(self.busy_j)
+        return left_sum(self.busy_j)
 
     @property
     def idle_total_j(self) -> float:
-        return sum(self.idle_j)
+        return left_sum(self.idle_j)
 
     @property
     def total_j(self) -> float:
-        return sum(self.busy_j) + sum(self.idle_j) + self.switch_j
+        return left_sum(self.busy_j) + left_sum(self.idle_j) + self.switch_j
 
 
 @dataclass
@@ -278,6 +278,7 @@ class Simulator:
     # -- state transitions ---------------------------------------------------
 
     def _release(self, run: TaskRun, t_ns):
+        """Release a task's next job; returns its entry for ``run`` to queue."""
         task = run.task
         ratio = draw_actual_ratio(self.cfg.cc_mean_ratio, run.cc_rng)
         job = Job(task, run.next_index, ratio * task.wcet_ns)
@@ -285,7 +286,6 @@ class Simulator:
             raise EngineError(f"release of task {task.id} at {t_ns} expected {job.arrival_ns}")
         run.next_index += 1
         core = self.cores[run.core]
-        heapq.heappush(core.ready, (job.deadline_ns, task.id, job))
         self._add_dyn_util(core, run.full - run.term)
         run.term = run.full
         self._touched.add(core.index)
@@ -296,16 +296,12 @@ class Simulator:
         heapq.heapreplace(core.nexts, nxt)
         if nxt < self.duration_ns:
             heapq.heappush(self._heap, (nxt, task.id, run))
+        return (job.deadline_ns, task.id, job)
 
     def _complete(self, core: Core, t_ns):
+        # The running job is the top: a batch queues releases after completions.
         job = core.running
-        ready = core.ready
-        if ready[0][2] is job:
-            heapq.heappop(ready)
-        else:
-            # A release of this batch put an earlier deadline on top.
-            ready.remove((job.deadline_ns, job.task_id, job))
-            heapq.heapify(ready)
+        heapq.heappop(core.ready)
         self._settle(core)
         core.running = None
         run = self.runs[job.task_id]
@@ -337,25 +333,20 @@ class Simulator:
         if self.trace is not None:
             self.trace.append((t_ns, core.index, "sleep", None, ""))
 
-    def on_core_idle(self, core: Core, t_ns):
-        """Sleep decision for a core with no ready work: sleep through the
-        gap to its next release when the gap reaches the threshold, else stay
-        active-idle at the global speed and record the failed sleep."""
-        nxt = core.nexts[0] if core.nexts else NEVER
-        if nxt - t_ns >= self.t_th_ns:
-            self._sleep(core, t_ns)
-        else:
-            self.ledger.failed_sleep_count += 1
-
     def _dispatch(self, core: Core, t_ns):
-        """Bring a core up to date after a batch: an idle core gets its sleep
-        decision, a busy core runs its EDF pick, due when the work clock has
+        """Bring a core up to date after a batch: an idle core sleeps when the
+        gap to its next release reaches the threshold (else counts a failed
+        sleep), a busy core runs its EDF pick, due when the work clock has
         advanced by the pick's remaining work."""
         if core.state == SLEEPING:
             return
         ready = core.ready
         if not ready:
-            self.on_core_idle(core, t_ns)
+            nxt = core.nexts[0] if core.nexts else NEVER
+            if nxt - t_ns >= self.t_th_ns:
+                self._sleep(core, t_ns)
+            else:
+                self.ledger.failed_sleep_count += 1
             return
         job = ready[0][2]
         running = core.running
@@ -379,7 +370,7 @@ class Simulator:
     # -- reallocation ----------------------------------------------------------
 
     def _reallocate(self, run: TaskRun, t_ns):
-        """Reallocation attempt for a task whose job was just enqueued: shift
+        """Reallocation attempt for a task whose job was just released: shift
         the task to a candidate core when that opens a sleepable idle interval
         on its home core.  The home core leaves S on a shift and joins it
         otherwise."""
@@ -415,19 +406,13 @@ class Simulator:
         # The speed this instant gives without the move; other releases at
         # t_ns may already have raised it above self.speed.
         speed_before = self._speed_of_sums()
-        # The task was released at t_ns, so the released job's deadline and
-        # the task's next release are both t_ns + P.
+        # The task was released at t_ns (its job is queued at the end of the
+        # batch), so its next release is t_ns + P.
         nxt = t_ns + run.task.period_ns
         task_id = run.task.id
-        entry = next((e for e in src.ready if e[0] == nxt and e[1] == task_id), None)
-        if entry is None:
-            raise EngineError("reallocated task has no released job")
-        src.ready.remove(entry)
-        heapq.heapify(src.ready)
         src.members.remove(run)
         dest.members.append(run)
         dest.members.sort(key=lambda r: r.task.id)
-        heapq.heappush(dest.ready, entry)
         run.core = dest.index
         src.nexts.remove(nxt)
         heapq.heapify(src.nexts)
@@ -442,7 +427,7 @@ class Simulator:
             self.trace.append((t_ns, dest.index, "realloc", task_id, f"from={src.index}"))
 
         # The selection rules guarantee these; check each commit (u_static re-summed).
-        u_static = sum(r.task.utilization for r in dest.members)
+        u_static = left_sum(r.task.utilization for r in dest.members)
         speed_after = self._speed_of_sums()
         u_dyn = dest.dyn_util / UTIL_UNIT
         u_dyn_src = src.dyn_util / UTIL_UNIT
@@ -470,7 +455,7 @@ class Simulator:
         cores = self.cores
         touched = self._touched
         due_heap = self._due
-        heappop = heapq.heappop
+        heappop, heappush = heapq.heappop, heapq.heappush
         t_now = 0
         while True:
             # The next completion is the top entry, timed from the latest batch
@@ -480,26 +465,34 @@ class Simulator:
             due = (t_now + int((due_heap[0][0] - self.work) / self.speed + 0.5)
                    if due_heap else NEVER)
             t = heap[0][0] if heap and heap[0][0] < due else due
-            if t >= duration:
-                break
+            # The horizon is the last batch; its completions count as on time.
+            if t > duration:
+                t = duration
             if t < t_now:
                 raise EngineError(f"event at {t} after the batch at {t_now}")
             work0 = self.work
             self._accrue(t_now, t)
             dt, t_now = t - t_now, t
+            released = ()
             if heap and heap[0][0] == t:
                 released = []
                 while heap and heap[0][0] == t:
                     run = heappop(heap)[2]
-                    self._release(run, t)
-                    released.append(run)
+                    released.append((run, self._release(run, t)))
                 if is_realloc:
-                    for run in released:
+                    for run, _entry in released:
                         self._reallocate(run, t)
             # Releases move no entry of the completion heap.
             if due == t:
                 for i in self._take_due(dt, work0):
                     self._complete(cores[i], t)
+            if t == duration:
+                break
+            # Released jobs join their queues after the completions, which pop
+            # their running job off the top; nothing earlier in the batch reads
+            # a queue below its top, so the schedule is the same.
+            for run, entry in released:
+                heappush(cores[run.core].ready, entry)
             # The batch's one speed, charged up to the next batch.  Wakes leave
             # the sums alone.
             self._recompute_speed(t)
@@ -523,11 +516,6 @@ class Simulator:
                 for i in batch:
                     self._dispatch(cores[i], t)
 
-        # Completions landing exactly on the horizon still count as on time.
-        ending = self._take_due(duration - t_now, self.work) if due == duration else ()
-        self._accrue(t_now, duration)
-        for i in ending:
-            self._complete(cores[i], duration)
         for core in cores:
             if core.state == ACTIVE:
                 self._settle(core)

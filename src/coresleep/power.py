@@ -186,12 +186,6 @@ class DerivedSpeeds:
         return self.f_min / self.f_max
 
 
-def _total_power(params: PowerParams, f_max: float, s: float) -> float:
-    f = s * f_max
-    vdd = vdd_of_frequency(params, f)
-    return dynamic_power(params, vdd, f) + static_power(params, vdd)
-
-
 def total_power_at_speed(params: PowerParams, derived: DerivedSpeeds, s: float) -> float:
     """Active power (W) at normalized speed ``s``, f = s * f_max.
 
@@ -201,7 +195,9 @@ def total_power_at_speed(params: PowerParams, derived: DerivedSpeeds, s: float) 
     s_min = derived.min_scale
     if not (s_min - _REL_EPS <= s <= 1.0 + _REL_EPS):
         raise PowerModelError(f"speed {s} outside [{s_min}, 1]")
-    return _total_power(params, derived.f_max, min(max(s, s_min), 1.0))
+    f = min(max(s, s_min), 1.0) * derived.f_max
+    vdd = vdd_of_frequency(params, f)
+    return dynamic_power(params, vdd, f) + static_power(params, vdd)
 
 
 def critical_speed(params: PowerParams, derived: DerivedSpeeds) -> float:
@@ -211,11 +207,10 @@ def critical_speed(params: PowerParams, derived: DerivedSpeeds) -> float:
     leakage term makes each cycle more expensive, so the controller never
     scales under it when sleep is on the table.
     """
-    f_max = derived.f_max
     a, b = derived.min_scale, 1.0
 
     def energy_per_cycle(s: float) -> float:
-        return _total_power(params, f_max, s) / (s * f_max)
+        return total_power_at_speed(params, derived, s) / (s * derived.f_max)
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
@@ -262,11 +257,13 @@ class PowerTable:
     speeds it was built from as ``derived``.
     """
 
-    def __init__(self, params: PowerParams, derived: DerivedSpeeds, points: int = 4096):
+    _POINTS = 4096   # intervals of the speed grid
+
+    def __init__(self, params: PowerParams, derived: DerivedSpeeds):
         self.derived = derived
         s_min = derived.min_scale
-        step = (1.0 - s_min) / points
-        self._grid = [s_min + i * step for i in range(points + 1)]
+        step = (1.0 - s_min) / self._POINTS
+        self._grid = [s_min + i * step for i in range(self._POINTS + 1)]
         self._grid[-1] = 1.0
         self._power = [total_power_at_speed(params, derived, s) for s in self._grid]
 

@@ -10,10 +10,18 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 NS_PER_MS = 1_000_000
 # Most tasks the generator draws for one set.
 MAX_TASKS = 20
+
+
+def left_sum(values):
+    """Sum left to right, as builtin ``sum`` did before Python 3.12 (which
+    compensates float rounding), so results do not depend on the version."""
+    return reduce(add, values, 0)
 
 
 class WorkloadError(ValueError):
@@ -79,7 +87,7 @@ class TaskSet:
 
     @property
     def total_utilization(self) -> float:
-        return sum(t.utilization for t in self.tasks)
+        return left_sum(t.utilization for t in self.tasks)
 
     def __len__(self):
         return len(self.tasks)

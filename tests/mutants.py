@@ -44,8 +44,14 @@ MUTANTS = [
      "self._add_dyn_util(core, term - run.term)", "pass"),
     ("_take_due takes only the first due completion", "engine.py",
      "while due_heap and int((due_heap[0][0] - work0) / speed + 0.5) == dt_ns:", "while False:"),
-    ("_complete pops the ready top unconditionally", "engine.py",
-     "if ready[0][2] is job:", "if True:"),
+    ("released jobs queued before the batch's completions", "engine.py",
+     "            if due == t:\n",
+     "            for run, entry in released:\n"
+     "                heappush(cores[run.core].ready, entry)\n"
+     "            released = ()\n            if due == t:\n"),
+    ("horizon batch ends before its completions", "engine.py",
+     "            released = ()\n",
+     "            if t == duration:\n                break\n            released = ()\n"),
     ("_dispatch keeps the preempted entry", "engine.py",
      "self._due.remove((core.due_w, core.index))\n            heapq.heapify(self._due)", "pass"),
     ("_dispatch leaves the heap unordered after a removal", "engine.py",

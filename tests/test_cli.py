@@ -1,7 +1,11 @@
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import coresleep
 from coresleep.cli import main
 
 
@@ -258,3 +262,26 @@ def test_bad_grid_syntax_exits_nonzero(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--sweep", "U=0.1", "--out", str(tmp_path / "x.csv")])
     assert exc.value.code != 0
+
+
+def test_grid_step_that_cannot_advance_fails_at_once(tmp_path):
+    """0.001 + 1e-20 rounds back to 0.001, so the grid would never reach
+    STOP.  The CLI runs in a child capped at 400 MB of address space and
+    60 s: a grid that grows without end fails there, not on the host."""
+    limited_main = ("import resource, sys\n"
+                    "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
+                    "from coresleep.cli import main\n"
+                    "sys.exit(main(sys.argv[1:]))")
+    out = tmp_path / "x.csv"
+    proc = subprocess.run(
+        [sys.executable, "-c", limited_main, "sweep", "--sweep", "E_sw=0.001:0.002:1e-20",
+         "--out", str(out)],
+        env={"PYTHONPATH": str(Path(coresleep.__file__).parent.parent)},
+        capture_output=True, text=True, timeout=60,
+    )
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 2, proc.stderr[-300:]
+    assert lines[0].startswith("usage: coresleep sweep")
+    assert lines[-1] == ("coresleep sweep: error: argument --sweep: STEP 1e-20 does not "
+                         "advance the value 0.001")
+    assert not out.exists()

@@ -13,7 +13,8 @@ from dense_oracle import closed_form_f_max, closed_form_power, integrate_trace_e
 
 from coresleep import policies
 from coresleep.engine import (
-    NEVER, SLEEPING, UTIL_UNIT, EngineError, SimConfig, Simulator, run, write_trace_csv,
+    NEVER, SLEEPING, UTIL_UNIT, EnergyLedger, EngineError, SimConfig, Simulator, run,
+    write_trace_csv,
 )
 from coresleep.harness import SweepSpec, _instance_for, repetition
 from coresleep.partition import Assignment, ltf_partition
@@ -74,6 +75,14 @@ class TestEmptySystem:
         assert ledger.total_j == 0.0
         assert ledger.wake_count == 0
         assert [(t, c) for (t, c, ev, _x, _d) in trace if ev == "sleep"] == [(0, 0), (0, 1), (0, 2)]
+
+
+def test_ledger_totals_sum_left_to_right():
+    """The totals add in plain float arithmetic, left to right, on every
+    Python version: builtin sum() compensates since 3.12 and would give 1.0."""
+    ledger = EnergyLedger(busy_j=[1e16, 1.0, -1e16], idle_j=[0.0] * 3)
+    assert ledger.busy_total_j == ledger.total_j == 0.0
+    assert EnergyLedger(busy_j=[0.0] * 3, idle_j=[1e16, 1.0, -1e16]).idle_total_j == 0.0
 
 
 class TestMotivationalScenario:
@@ -460,21 +469,25 @@ def check_due(sim, core, t_ns):
         assert core.running is None and not core.ready, where
 
 
-def check_index_state(home, run, t_ns):
-    """The job indices the reallocation hook reads fit the home queue: the
-    job released at t is queued; the task is pinned (``done < next_index -
-    2``) exactly when an older job of it is queued; and a member counts as
+def check_index_state(home, run, t_ns, released):
+    """The job indices the reallocation hook reads fit the home queue and
+    ``released``, the jobs of the current batch by (task id, index), which
+    join their queues at the end of the batch: the job released at t is one
+    of them and not queued; the task is pinned (``done < next_index - 2``)
+    exactly when an older job of it is queued; and a member counts as
     pending (``done < next_index - 1``) exactly when its job before the next
-    release is queued."""
+    release is queued or was released in this batch."""
     queued = {(job.task_id, job.index): job for _deadline, _task_id, job in home.ready}
     where = (t_ns, run.task.id)
-    released = queued.get((run.task.id, run.next_index - 1))
-    assert released is not None and released.arrival_ns == t_ns, where
+    latest = (run.task.id, run.next_index - 1)
+    assert latest not in queued and latest in released, where
+    assert released[latest].arrival_ns == t_ns, where
     older = any(task_id == run.task.id and index < run.next_index - 1
                 for task_id, index in queued)
     assert (run.done < run.next_index - 2) == older, where
     for member in home.members:
-        pending = (member.task.id, member.next_index - 1) in queued
+        key = (member.task.id, member.next_index - 1)
+        pending = key in queued or key in released
         assert (member.done < member.next_index - 1) == pending, (where, member.task.id)
 
 
@@ -492,14 +505,16 @@ class CheckedSimulator(Simulator):
     core's utilization sums and the tracked largest sum after each
     reallocation attempt, each completion and each batch's speed recompute;
     after each recompute, that the speed is the policy's rule applied to the
-    largest sum re-summed from the members' terms; before each reallocation
-    attempt, the job indices the hook reads against the home queue; the
-    pending load handed to ``compute_dt_ns`` (bit for bit) and every option
-    handed to ``select_core``; and between event batches the largest sum,
-    each core's next release and due work (no completion entry while idle or
-    asleep, and an empty queue while asleep), that the completion heap holds
-    exactly one entry per running core, in heap order, that no core would
-    act if it were dispatched, and that the batch handled an event.  The
+    largest sum re-summed from the members' terms; at each completion, that
+    the running job is its queue's top; before each reallocation attempt,
+    the job indices the hook reads against the home queue and the batch's
+    released jobs; the pending load handed to ``compute_dt_ns`` (bit for
+    bit) and every option handed to ``select_core``; and between event
+    batches the largest sum, each core's next release and due work (no
+    completion entry while idle or asleep, and an empty queue while asleep),
+    that the completion heap holds exactly one entry per running core, in
+    heap order, that no core would act if it were dispatched, and that the
+    batch handled an event.  The
     fixed-point check reads numbers and a reference, not engine flags: an
     awake idle core's gap to its next release against the sleep threshold,
     and a running core's job against the reference EDF pick of its queue.
@@ -514,14 +529,19 @@ class CheckedSimulator(Simulator):
     def __init__(self, *args):
         super().__init__(*args)
         self.last_cc_ns = {}   # task id -> actual time of its latest completed job
+        self.released = {}     # (task id, index) -> job, of the current batch
 
     def _release(self, run, t_ns):
         self.batch_events += 1
-        super()._release(run, t_ns)
+        entry = super()._release(run, t_ns)
+        job = entry[2]
+        self.released[job.task_id, job.index] = job
+        return entry
 
     def _complete(self, core, t_ns):
         self.batch_events += 1
         job = core.running
+        assert core.ready[0][2] is job, (t_ns, core.index)
         self.last_cc_ns[job.task_id] = job.cc_ns
         super()._complete(core, t_ns)
         self.check_sums(t_ns)
@@ -546,7 +566,7 @@ class CheckedSimulator(Simulator):
     def _reallocate(self, run, t_ns):
         compute_dt_ns, select_core = policies.compute_dt_ns, policies.select_core
         home = self.cores[run.core]
-        check_index_state(home, run, t_ns)
+        check_index_state(home, run, t_ns, self.released)
 
         def checked_load(gap_ns, load_ns, critical_scale):
             assert load_ns == compute_load_ns(home, t_ns), (t_ns, home.index)
@@ -581,6 +601,7 @@ class CheckedSimulator(Simulator):
                 assert top == core_next_release_ns(core, t0_ns), (t0_ns, core.index)
                 check_due(self, core, t0_ns)
         self.batch_events = 0
+        self.released = {}
         super()._accrue(t0_ns, t1_ns)
 
 
@@ -700,11 +721,11 @@ class TestBacklogGuard:
         sim = Simulator(cfg, task_set, ltf_partition(task_set, 1))
         task_run, core = sim.runs[0], sim.cores[0]
         sim._recompute_speed(0)
-        sim._release(task_run, 0)
+        heapq.heappush(core.ready, sim._release(task_run, 0))
         sim._dispatch(core, 0)
         first = core.running
         assert first.cc_ns < task.wcet_ns
-        sim._release(task_run, 10 * MS)
+        heapq.heappush(core.ready, sim._release(task_run, 10 * MS))
         assert sim._take_due(11 * MS, 0.0) == [core.index]
         sim._complete(core, 11 * MS)
         assert core.running is None and sim._due == []
@@ -742,16 +763,18 @@ class TestCompletionHeap:
 
         def step(t_ns, released=(), done=()):
             """One batch at ``t_ns``: advance the clocks, release, complete
-            the cores in ``done`` and dispatch both cores."""
+            the cores in ``done``, queue the released jobs and dispatch both
+            cores."""
             nonlocal t_prev
             work0 = sim.work
             sim._accrue(t_prev, t_ns)
-            for task_id in released:
-                sim._release(runs[task_id], t_ns)
+            entries = [sim._release(runs[task_id], t_ns) for task_id in released]
             if done:
                 assert sim._take_due(t_ns - t_prev, work0) == list(done)
                 for i in done:
                     sim._complete(sim.cores[i], t_ns)
+            for entry in entries:
+                heapq.heappush(sim.cores[runs[entry[1]].core].ready, entry)
             for core in sim.cores:
                 sim._dispatch(core, t_ns)
             t_prev = t_ns
@@ -829,7 +852,8 @@ class TestSameInstantCompletions:
     def test_completion_beside_an_earlier_deadline_release(self, params):
         """Task 1 completes at 4 ms, the instant task 0 releases a job with an
         earlier deadline (8 ms against 20 ms) on the same core: the completed
-        job leaves the queue from below the new top, and the new job runs."""
+        job leaves the queue from its top before the new job joins it, and
+        the new job runs."""
         sim, ledger, trace, rows = full_speed_run(
             params, [task_from_ms(0, 4.0, 1.0), task_from_ms(1, 20.0, 3.0)], ((0, 1),), 6.0)
         assert [(ev, task) for (t, _c, ev, task, _d) in trace if t == 4 * MS] == [
@@ -900,6 +924,19 @@ def test_jobs_queued_at_the_horizon_count_as_misses(params, policy):
     assert ledger.deadline_miss_count == late + 2
 
 
+def test_completions_at_the_horizon_count_on_time(params):
+    """The horizon, 4 ms, is the last batch: cores 0 and 1 both complete a
+    job due at 4 ms exactly there, on time, and busy the whole run."""
+    tasks = [task_from_ms(0, 4.0, 4.0), task_from_ms(1, 4.0, 2.0), task_from_ms(2, 4.0, 2.0)]
+    sim, ledger, _trace, rows = full_speed_run(params, tasks, ((0,), (1, 2)), 4.0)
+    assert rows == [
+        (0, 0, "start", 0), (0, 1, "start", 1), (2 * MS, 1, "complete", 1),
+        (2 * MS, 1, "start", 2), (4 * MS, 0, "complete", 0), (4 * MS, 1, "complete", 2),
+    ]
+    assert ledger.deadline_miss_count == 0 and ledger.idle_j == [0.0, 0.0]
+    assert ledger.busy_j == pytest.approx([sim.power * 4e-3] * 2, rel=1e-12)
+
+
 class StrayRelease(Simulator):
     """At its first completion, puts a release of another core's task into
     the event heap one nanosecond before that completion."""
@@ -933,7 +970,7 @@ class DispatchRecorder(Simulator):
 
     def _release(self, run, t_ns):
         self.events.add((t_ns, run.core))
-        super()._release(run, t_ns)
+        return super()._release(run, t_ns)
 
     def _complete(self, core, t_ns):
         self.events.add((t_ns, core.index))

@@ -48,8 +48,6 @@ def to_engine_state_after_first_cycle(sim, releases_at_2ms=True):
     its next-release heaps hold the state too: with the 2 ms releases both
     cores' tops are 4 ms, without them core 1's top is task 3 at 2 ms."""
     release_all(sim, 0, (1, 2, 3))
-    for core in sim.cores:
-        core.ready.clear()  # the first invocations finished
     to_state_after_first_cycle(sim)
     if releases_at_2ms:
         release_all(sim, 2 * MS, (1, 3))
@@ -103,8 +101,7 @@ class TestComputeLoad:
         # 4 ms: core 1 holds tasks 2 and 3 at their worst cases, 0.4 + 0.2,
         # not 0.8 from counting every ready job
         release_all(sim, 0, (1, 2, 3))
-        sim.cores[1].ready.clear()  # the first invocations of tasks 2 and 3 finished
-        for task_id in (2, 3):
+        for task_id in (2, 3):  # their first invocations finished
             sim.runs[task_id].done = 1
         release_all(sim, 2 * MS, (1, 3))
         release_all(sim, 4 * MS, (2, 3))

@@ -145,6 +145,12 @@ class TestPower:
         ps = [static_power(params, v) for v in vs]
         assert all(a < b for a, b in zip(ps, ps[1:]))
 
+    def test_static_out_of_range(self, params):
+        # rejected like frequency_of_vdd's
+        for vdd in (params.vdd_min - 0.05, params.vdd_max + 0.05):
+            with pytest.raises(PowerModelError, match=f"vdd={vdd} outside"):
+                static_power(params, vdd)
+
     def test_static_fixture(self, params):
         assert static_power(params, params.vdd_max) == pytest.approx(P_STAT_AT_MAX, rel=1e-12)
 

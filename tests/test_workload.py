@@ -45,6 +45,11 @@ class TestTask:
         with pytest.raises(WorkloadError):
             TaskSet(tasks=(task_from_ms(1, 2, 1), task_from_ms(1, 4, 1)))
 
+    def test_total_utilization_sums_left_to_right(self):
+        # builtin sum() compensates since Python 3.12 and would give 0.6
+        ts = TaskSet(tasks=tuple(task_from_ms(i, 10.0, float(i)) for i in (1, 2, 3)))
+        assert ts.total_utilization == (0.1 + 0.2) + 0.3 == 0.6000000000000001
+
 
 class TestDynamicUtilization:
     def test_unfinished_uses_worst_case(self):
