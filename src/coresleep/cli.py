@@ -14,6 +14,10 @@ from .policies import PolicyKind
 from .power import PowerModelError, default_power_params, load_power_params
 from .workload import WorkloadError
 
+# 500 times the largest canonical grid (20 points), three million runs at
+# the default 100 repetitions: a larger --sweep grid is a mistyped STEP.
+MAX_GRID_POINTS = 10_000
+
 
 def _pair(text, cast, sep=":"):
     a, _, b = text.partition(sep)
@@ -36,13 +40,21 @@ def _sweep_axis(text):
     start, stop, step = float(start), float(stop), float(step)
     if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
         raise argparse.ArgumentTypeError("need finite values with STEP > 0 and STOP >= START")
+
+    def advance(v):
+        if v + step == v:
+            raise argparse.ArgumentTypeError(f"STEP {step!r} does not advance the value {v!r}")
+        return v + step
+
+    advance(start)   # a STEP too small for START is named before the point count
+    if (stop - start) / step >= MAX_GRID_POINTS:   # floor(this) + 1 points exceed it
+        raise argparse.ArgumentTypeError(
+            f"grid {grid!r} has more than {MAX_GRID_POINTS:,} points")
     values = []
     v = start
     while v <= stop + 1e-9:
         values.append(int(round(v)) if axis == "m" else round(v, 12))
-        if v + step == v:
-            raise argparse.ArgumentTypeError(f"STEP {step!r} does not advance the value {v!r}")
-        v += step
+        v = advance(v)
     return axis, tuple(values)
 
 

@@ -25,6 +25,7 @@ core index.  Integer-nanosecond timestamps make every run bit-reproducible.
 
 from __future__ import annotations
 
+import csv
 import heapq
 import math
 import random
@@ -118,7 +119,7 @@ class EnergyLedger:
 
     @property
     def total_j(self) -> float:
-        return left_sum(self.busy_j) + left_sum(self.idle_j) + self.switch_j
+        return self.busy_total_j + self.idle_total_j + self.switch_j
 
 
 @dataclass
@@ -535,16 +536,7 @@ def run(config: SimConfig, task_set: TaskSet, assignment: Assignment):
 
 
 def write_trace_csv(trace, path) -> None:
-    import csv
-
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh)   # writes None as an empty cell
         writer.writerow(TRACE_COLUMNS)
-        for t_ns, core, event, task, detail in trace:
-            writer.writerow([
-                t_ns,
-                "" if core is None else core,
-                event,
-                "" if task is None else task,
-                detail,
-            ])
+        writer.writerows(trace)

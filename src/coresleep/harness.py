@@ -10,10 +10,11 @@ leakage-aware DVS policy.
 
 from __future__ import annotations
 
+import csv
 import math
 import os
 import random
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from multiprocessing import Pool
 
 from . import engine
@@ -21,13 +22,13 @@ from .partition import PartitionError, ltf_partition
 from .policies import PolicyKind
 from .power import PowerParams, PowerTable, default_power_params, derive_speeds
 from .workload import (
-    NS_PER_MS, WorkloadError, check_period_range, check_task_range, generate_task_set,
+    NS_PER_MS, WorkloadError, check_period_range, check_task_range, generate_task_set, left_sum,
 )
 
 # Each axis and the fixed input it replaces.
 AXIS_FIELDS = {"U": "u", "E_sw": "e_sw_j", "m": "m", "cc_ratio": "cc_ratio"}
 AXES = tuple(AXIS_FIELDS)
-POLICY_ORDER = (PolicyKind.PURE_DVS, PolicyKind.LA_DVS, PolicyKind.LA_REALLOC)
+POLICY_ORDER = tuple(PolicyKind)
 
 # Canonical grids for the four comparative experiments; any sweep may
 # override them with explicit values.
@@ -103,6 +104,8 @@ class SweepSpec:
 
 @dataclass
 class ResultRow:
+    """A policy's means at one axis value; its fields are the CSV columns after ``axis``."""
+
     value: float
     policy: str
     energy_j: float
@@ -228,20 +231,14 @@ def run_sweep(spec: SweepSpec, params: PowerParams | None = None, workers: int =
         skipped[value] = reps - n
         means = {}
         for policy in POLICY_ORDER:
-            sums = [0.0, 0.0, 0.0, 0.0]
-            for out in cells:
-                for k, x in enumerate(out[policy.value]):
-                    sums[k] += x
-            means[policy] = [s / n for s in sums] if n else [NAN] * 4
+            columns = zip(*(out[policy.value] for out in cells))
+            means[policy] = [left_sum(col) / n for col in columns] if n else [NAN] * 4
         ref = means[PolicyKind.LA_DVS][0]
         if ref == 0.0:
             raise SweepError(f"degenerate configuration: zero energy at {value}")
         for policy in POLICY_ORDER:
-            energy, misses, wakes, failed = means[policy]
-            rows.append(ResultRow(
-                value=value, policy=policy.value, energy_j=energy, normalized=energy / ref,
-                misses=misses, wakes=wakes, failed_sleeps=failed, runs=n,
-            ))
+            energy, *counts = means[policy]
+            rows.append(ResultRow(value, policy.value, energy, energy / ref, *counts, n))
     return SweepResult(spec=spec, rows=rows, skipped=skipped)
 
 
@@ -249,22 +246,19 @@ def emit(result: SweepResult, path) -> None:
     """Write the sweep CSV (with a provenance header) and a companion plot
     script next to it.  Re-emitting the same result is byte-identical."""
     spec = result.spec
-    lines = ["# coresleep sweep result"]
-    for field in fields(spec):
-        value = getattr(spec, field.name)
-        if isinstance(value, tuple):
-            # the axis values joined by commas, a (min, max) range by a colon
-            value = ("," if field.name == "values" else ":").join(map(str, value))
-        lines.append(f"# {field.name} = {value}")
-    lines.append(f"# skipped_repetitions = {sum(result.skipped.values())}")
-    lines.append("axis,value,policy,energy_j,normalized,misses,wakes,failed_sleeps,runs")
-    for row in result.rows:
-        lines.append(
-            f"{spec.axis},{row.value!r},{row.policy},{row.energy_j!r},{row.normalized!r},"
-            f"{row.misses!r},{row.wakes!r},{row.failed_sleeps!r},{row.runs}"
-        )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("# coresleep sweep result\n")
+        for field in fields(spec):
+            value = getattr(spec, field.name)
+            if isinstance(value, tuple):
+                # the axis values joined by commas, a (min, max) range by a colon
+                value = ("," if field.name == "values" else ":").join(map(str, value))
+            fh.write(f"# {field.name} = {value}\n")
+        fh.write(f"# skipped_repetitions = {sum(result.skipped.values())}\n")
+        # A float cell is its repr, nan included.
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["axis", *(column.name for column in fields(ResultRow))])
+        writer.writerows([spec.axis, *astuple(row)] for row in result.rows)
     _write_plot_script(path)
 
 

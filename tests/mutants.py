@@ -81,6 +81,10 @@ MUTANTS = [
      "return None"),
     ("provenance header drops the axis line", "harness.py",
      "for field in fields(spec):", "for field in fields(spec)[1:]:"),
+    ("sweep CSV row drops its last field", "harness.py",
+     "[spec.axis, *astuple(row)]", "[spec.axis, *astuple(row)][:-1]"),
+    ("reduce skips a point's first repetition", "harness.py",
+     "raw[vi * reps:(vi + 1) * reps]", "raw[vi * reps + 1:(vi + 1) * reps]"),
 ]
 
 FAILED = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - |$)", re.MULTILINE)

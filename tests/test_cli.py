@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import coresleep
-from coresleep.cli import main
+from coresleep.cli import MAX_GRID_POINTS, _sweep_axis, main
 
 
 def test_simulate_prints_summary(capsys):
@@ -264,24 +264,46 @@ def test_bad_grid_syntax_exits_nonzero(tmp_path):
     assert exc.value.code != 0
 
 
-def test_grid_step_that_cannot_advance_fails_at_once(tmp_path):
-    """0.001 + 1e-20 rounds back to 0.001, so the grid would never reach
-    STOP.  The CLI runs in a child capped at 400 MB of address space and
-    60 s: a grid that grows without end fails there, not on the host."""
+def sweep_grid_capped(grid, out):
+    """Run ``coresleep sweep --sweep GRID --out OUT`` in a child capped at
+    400 MB of address space and 60 s, so that a grid that grows without end
+    fails there, not on the host; returns (exit status, stderr lines)."""
     limited_main = ("import resource, sys\n"
                     "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
                     "from coresleep.cli import main\n"
                     "sys.exit(main(sys.argv[1:]))")
-    out = tmp_path / "x.csv"
     proc = subprocess.run(
-        [sys.executable, "-c", limited_main, "sweep", "--sweep", "E_sw=0.001:0.002:1e-20",
-         "--out", str(out)],
+        [sys.executable, "-c", limited_main, "sweep", "--sweep", grid, "--out", str(out)],
         env={"PYTHONPATH": str(Path(coresleep.__file__).parent.parent)},
         capture_output=True, text=True, timeout=60,
     )
-    lines = proc.stderr.splitlines()
-    assert proc.returncode == 2, proc.stderr[-300:]
+    return proc.returncode, proc.stderr.splitlines()
+
+
+def test_grid_step_that_cannot_advance_fails_at_once(tmp_path):
+    """0.001 + 1e-20 rounds back to 0.001, so the grid would never reach
+    STOP."""
+    out = tmp_path / "x.csv"
+    status, lines = sweep_grid_capped("E_sw=0.001:0.002:1e-20", out)
+    assert status == 2, lines[-3:]
     assert lines[0].startswith("usage: coresleep sweep")
     assert lines[-1] == ("coresleep sweep: error: argument --sweep: STEP 1e-20 does not "
                          "advance the value 0.001")
     assert not out.exists()
+
+
+def test_grid_with_too_many_points_fails_before_it_is_built(tmp_path):
+    """Each step of 1e-20 advances the value for a while, but the grid would
+    hold about 1e17 points; it is rejected before a single one is built."""
+    out = tmp_path / "x.csv"
+    status, lines = sweep_grid_capped("E_sw=0:0.001:1e-20", out)
+    assert status == 2, lines[-3:]
+    assert lines[0].startswith("usage: coresleep sweep")
+    assert lines[-1] == (f"coresleep sweep: error: argument --sweep: grid '0:0.001:1e-20' "
+                         f"has more than {MAX_GRID_POINTS:,} points")
+    assert not out.exists()
+
+
+def test_grid_bound_admits_its_largest_grid():
+    _axis, values = _sweep_axis("U=0.0001:1:0.0001")
+    assert len(values) == MAX_GRID_POINTS and values[-1] == 1.0

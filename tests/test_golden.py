@@ -49,13 +49,18 @@ a mostly busy core 7.8e-14); the sweep's energy_j and normalized fields
 To re-record after a deliberate numerics change, print the digests of the
 current code with ``PYTHONPATH=src python tests/test_golden.py`` and copy only
 the entries that moved.  A change meant to keep every trace row keeps
-TRACE_DIGESTS.
+TRACE_DIGESTS and TRACE_FILE_DIGEST.
+
+TRACE_FILE_DIGEST and SWEEP_FILE_DIGEST hash the files as written, so they
+also see line ends (the trace file's CRLF), empty cells and the sweep CSV's
+provenance header, which the row digests do not.
 """
 
 import hashlib
 
 import pytest
 
+from coresleep.engine import write_trace_csv
 from coresleep.harness import SweepSpec, emit, run_single, run_sweep
 from coresleep.policies import PolicyKind
 
@@ -97,12 +102,24 @@ RUN_DIGESTS = {
 SWEEP_SPEC = dict(axis="U", values=(0.1, 0.5, 0.9), repetitions=2, duration_ms=500.0)
 SWEEP_DIGEST = "6cbe19479e27536294498f4fecb81627fd0e1bd30fa5ab2999099b820f7df179"
 
+# sha256 of the bytes of the trace file write_trace_csv writes for the
+# (LA_REALLOC, 2) golden run, and of the whole CSV file written for SWEEP_SPEC.
+TRACE_FILE_RUN = (PolicyKind.LA_REALLOC, 2)
+TRACE_FILE_DIGEST = "a9f1e6c8bc9da16a3d9f9a2893ceba5152e124aea18bef5f7cb4e75a2f9f4a9d"
+SWEEP_FILE_DIGEST = "1dc6f49eae904d74917d0869665b33d83700ffd375a694541c9544d0cec2f2e2"
 
-def run_digests(params, policy, m):
-    """(trace digest, trace-and-ledger digest) of one golden run."""
+
+def golden_run(params, policy, m):
+    """(ledger, trace) of one golden run."""
     _, _, ledger, trace = run_single(
         params, policy, m=m, seed=5, duration_ms=2000.0, collect_trace=True
     )
+    return ledger, trace
+
+
+def run_digests(params, policy, m):
+    """(trace digest, trace-and-ledger digest) of one golden run."""
+    ledger, trace = golden_run(params, policy, m)
     h = hashlib.sha256()
     for row in trace:
         h.update(repr(row).encode())
@@ -117,10 +134,22 @@ def run_digests(params, policy, m):
     return trace_digest, h.hexdigest()
 
 
-def sweep_digest(params, path):
+def trace_file_digest(params, path):
+    write_trace_csv(golden_run(params, *TRACE_FILE_RUN)[1], path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def sweep_digests(params, path):
+    """(data-row digest, file digest) of the CSV written for SWEEP_SPEC."""
     emit(run_sweep(SweepSpec(**SWEEP_SPEC), params=params), path)
     data = [ln for ln in path.read_text().splitlines(keepends=True) if not ln.startswith("#")]
-    return hashlib.sha256("".join(data).encode()).hexdigest()
+    return (hashlib.sha256("".join(data).encode()).hexdigest(),
+            hashlib.sha256(path.read_bytes()).hexdigest())
+
+
+@pytest.fixture(scope="module")
+def golden_sweep(params, tmp_path_factory):
+    return sweep_digests(params, tmp_path_factory.mktemp("golden") / "golden.csv")
 
 
 @pytest.mark.parametrize("policy, m", list(RUN_DIGESTS))
@@ -130,8 +159,16 @@ def test_run_single_trace_and_ledger_unchanged(params, policy, m):
     assert run_digest == RUN_DIGESTS[(policy, m)]
 
 
-def test_sweep_csv_rows_unchanged(params, tmp_path):
-    assert sweep_digest(params, tmp_path / "golden.csv") == SWEEP_DIGEST
+def test_sweep_csv_rows_unchanged(golden_sweep):
+    assert golden_sweep[0] == SWEEP_DIGEST
+
+
+def test_sweep_csv_file_bytes_unchanged(golden_sweep):
+    assert golden_sweep[1] == SWEEP_FILE_DIGEST
+
+
+def test_trace_file_bytes_unchanged(params, tmp_path):
+    assert trace_file_digest(params, tmp_path / "trace.csv") == TRACE_FILE_DIGEST
 
 
 if __name__ == "__main__":
@@ -150,4 +187,7 @@ if __name__ == "__main__":
             print(f"    (PolicyKind.{policy.name}, {m}):\n        \"{digests[(policy, m)][k]}\",")
         print("}")
     with tempfile.TemporaryDirectory() as tmp:
-        print(f'SWEEP_DIGEST = "{sweep_digest(params, Path(tmp) / "golden.csv")}"')
+        rows, whole = sweep_digests(params, Path(tmp) / "golden.csv")
+        print(f'SWEEP_DIGEST = "{rows}"')
+        print(f'TRACE_FILE_DIGEST = "{trace_file_digest(params, Path(tmp) / "trace.csv")}"')
+        print(f'SWEEP_FILE_DIGEST = "{whole}"')
