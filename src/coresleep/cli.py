@@ -52,7 +52,7 @@ def _sweep_axis(text):
             f"grid {grid!r} has more than {MAX_GRID_POINTS:,} points")
     values = []
     v = start
-    while v <= stop + 1e-9:
+    while v <= stop + 1e-6 * step:   # a tolerance relative to STEP, for its round-off
         values.append(int(round(v)) if axis == "m" else round(v, 12))
         v = advance(v)
     return axis, tuple(values)

@@ -35,7 +35,7 @@ from . import policies
 from .partition import Assignment
 from .policies import PolicyKind
 from .power import PowerParams, PowerTable, derive_speeds, sleep_threshold
-from .workload import NS_PER_MS, Job, TaskSet, draw_actual_ratio, left_sum
+from .workload import NS_PER_MS, Job, TaskSet, check_run_input, draw_actual_ratio, left_sum
 
 ACTIVE, SLEEPING = 0, 1
 NEVER = float("inf")
@@ -140,14 +140,9 @@ class SimConfig:
     collect_trace: bool = False
 
     def __post_init__(self):
-        if self.cores < 1:
-            raise ValueError("need at least one core")
-        if not (math.isfinite(self.duration_ms) and round(self.duration_ms * NS_PER_MS) >= 1):
-            raise ValueError("duration must be finite and at least 1 ns")
-        if not (math.isfinite(self.e_sw_j) and self.e_sw_j >= 0):
-            raise ValueError("switching overhead must be finite and nonnegative")
-        if not (0.0 < self.cc_mean_ratio <= 1.0):
-            raise ValueError("cc mean ratio must be in (0, 1]")
+        for name, value in (("m", self.cores), ("duration_ms", self.duration_ms),
+                            ("e_sw_j", self.e_sw_j), ("cc_ratio", self.cc_mean_ratio)):
+            check_run_input(name, value)
         scale = self.critical_scale_override
         if scale is not None and not (0.0 < scale <= 1.0):
             raise ValueError("critical scale override must be in (0, 1]")

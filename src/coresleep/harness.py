@@ -11,7 +11,6 @@ leakage-aware DVS policy.
 from __future__ import annotations
 
 import csv
-import math
 import os
 import random
 from dataclasses import astuple, dataclass, fields, replace
@@ -22,7 +21,8 @@ from .partition import PartitionError, ltf_partition
 from .policies import PolicyKind
 from .power import PowerParams, PowerTable, default_power_params, derive_speeds
 from .workload import (
-    NS_PER_MS, WorkloadError, check_period_range, check_task_range, generate_task_set, left_sum,
+    WorkloadError, check_period_range, check_run_input, check_task_range, generate_task_set,
+    left_sum,
 )
 
 # Each axis and the fixed input it replaces.
@@ -43,18 +43,7 @@ NAN = float("nan")
 
 
 class SweepError(ValueError):
-    """Invalid sweep specification or degenerate normalization."""
-
-
-def _check_axis_value(axis, value):
-    if axis == "U" and not (0.0 < value <= 1.0):
-        raise SweepError(f"U value {value} outside (0, 1]")
-    if axis == "E_sw" and not (math.isfinite(value) and value >= 0):
-        raise SweepError(f"E_sw value {value} not a finite nonnegative number")
-    if axis == "m" and not (math.isfinite(value) and value >= 1 and int(value) == value):
-        raise SweepError(f"core count {value} not a positive integer")
-    if axis == "cc_ratio" and not (0.0 < value <= 1.0):
-        raise SweepError(f"cc ratio {value} outside (0, 1]")
+    """Invalid sweep structure or degenerate normalization (a bad run input is a WorkloadError)."""
 
 
 @dataclass(frozen=True)
@@ -84,14 +73,12 @@ class SweepSpec:
             raise SweepError("axis values must be nonempty and strictly increasing")
         object.__setattr__(self, "values", vals)
         for value in vals:
-            _check_axis_value(self.axis, value)
-        for axis, name in AXIS_FIELDS.items():
-            _check_axis_value(axis, getattr(self, name))
+            check_run_input(AXIS_FIELDS[self.axis], value)
+        for name in AXIS_FIELDS.values():
+            check_run_input(name, getattr(self, name))
         check_task_range(self.n_range)
         check_period_range(self.period_range_ms)
-        duration = self.duration_ms
-        if not (math.isfinite(duration) and round(duration * NS_PER_MS) >= 1):
-            raise SweepError(f"duration {duration!r} ms is not finite or rounds below 1 ns")
+        check_run_input("duration_ms", self.duration_ms)
         if self.repetitions < 1:
             raise SweepError("need at least one repetition")
 

@@ -121,6 +121,20 @@ def check_task_range(n_range: tuple[int, int]) -> None:
         raise WorkloadError(f"task range {lo}:{hi} needs 1 <= MIN <= MAX <= {MAX_TASKS}")
 
 
+def check_run_input(name: str, value) -> None:
+    """Raise WorkloadError unless ``value`` is valid for the SweepSpec field ``name``."""
+    if name == "u" and not (0.0 < value <= 1.0):
+        raise WorkloadError(f"U value {value} outside (0, 1]")
+    if name == "e_sw_j" and not (math.isfinite(value) and value >= 0):
+        raise WorkloadError(f"E_sw value {value} not a finite nonnegative number")
+    if name == "m" and not (math.isfinite(value) and value >= 1 and int(value) == value):
+        raise WorkloadError(f"core count {value} not a positive integer")
+    if name == "cc_ratio" and not (0.0 < value <= 1.0):
+        raise WorkloadError(f"cc ratio {value} outside (0, 1]")
+    if name == "duration_ms" and not (math.isfinite(value) and round(value * NS_PER_MS) >= 1):
+        raise WorkloadError(f"duration {value!r} ms is not finite or rounds below 1 ns")
+
+
 def generate_task_set(
     n: int,
     u_target: float,

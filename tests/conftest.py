@@ -6,7 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from coresleep.engine import SimConfig
-from coresleep.partition import ltf_partition
+from coresleep.partition import Assignment, PartitionError, ltf_partition
 from coresleep.power import PowerTable, default_power_params, derive_speeds
 from coresleep.workload import TaskSet, task_from_ms
 
@@ -57,6 +57,25 @@ def motivational_config(params, policy, duration_ms=16.0, collect_trace=True):
         t_th_ms_override=2.0,
         collect_trace=collect_trace,
     )
+
+
+def capped_first_fit(task_set, m, critical_scale):
+    """Reference static consolidation: tasks largest first (ties by id), each
+    onto the lowest-index core that stays at or below the critical scale;
+    when no core does, onto the least loaded core (worst fit), which must
+    stay at or below 1."""
+    load = [0.0] * m
+    bins = [[] for _ in range(m)]
+    for task in sorted(task_set, key=lambda t: (-t.utilization, t.id)):
+        u = task.utilization
+        fits = [i for i in range(m) if load[i] + u <= critical_scale]
+        j = fits[0] if fits else min(range(m), key=lambda i: (load[i], i))
+        if load[j] + u > 1.0:
+            raise PartitionError(f"core {j} would reach utilization {load[j] + u:.6f}")
+        load[j] += u
+        bins[j].append(task.id)
+    return Assignment(core_tasks=tuple(tuple(sorted(b)) for b in bins),
+                      core_utilization=tuple(load))
 
 
 def idle_gaps_between_jobs(trace, core):

@@ -85,6 +85,11 @@ MUTANTS = [
      "[spec.axis, *astuple(row)]", "[spec.axis, *astuple(row)][:-1]"),
     ("reduce skips a point's first repetition", "harness.py",
      "raw[vi * reps:(vi + 1) * reps]", "raw[vi * reps + 1:(vi + 1) * reps]"),
+    ("check_run_input accepts a cc ratio of 0", "workload.py",
+     'name == "cc_ratio" and not (0.0 < value <= 1.0)',
+     'name == "cc_ratio" and not (0.0 <= value <= 1.0)'),
+    ("SimConfig.__post_init__ skips its run-input checks", "engine.py",
+     "            check_run_input(name, value)\n", "            pass\n"),
 ]
 
 FAILED = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - |$)", re.MULTILINE)

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import idle_gaps_between_jobs, motivational_config
+from conftest import capped_first_fit, idle_gaps_between_jobs, motivational_config
 from dense_oracle import integrate_trace_energy
 
 from coresleep.engine import SimConfig, run
@@ -18,7 +18,7 @@ from coresleep.harness import (
     DEFAULT_GRIDS, POLICY_ORDER, SweepResult, SweepSpec, _instance_for, emit, repetition,
     run_sweep,
 )
-from coresleep.partition import Assignment, ltf_partition
+from coresleep.partition import ltf_partition
 from coresleep.policies import PolicyKind
 from coresleep.power import derive_speeds
 from coresleep.workload import NS_PER_MS, Task, TaskSet
@@ -163,20 +163,12 @@ def test_criterion_4_utilization_sweep_high_extreme(fig3):
            f"normalized at U>=0.8 within [0.97, 1.03]: { {k: round(v, 3) for k, v in values.items()} }")
 
 
-def _packed_onto_core_zero(task_set, m):
-    """Every task on core 0; the other cores are empty and sleep from t = 0."""
-    ids = tuple(task.id for task in task_set)
-    return Assignment(
-        core_tasks=(ids,) + ((),) * (m - 1),
-        core_utilization=(task_set.total_utilization,) + (0.0,) * (m - 1),
-    )
-
-
 def test_criterion_4_utilization_sweep_low_extreme(fig3, params, derived, power_table):
     # At U = 0.1 the whole task set fits on one core below the critical speed,
-    # so the most any consolidating policy can save is la_dvs on the one-core
-    # packing of the same instances; reallocation must reach that limit. The
-    # instances and configurations are the sweep's own repetitions.
+    # so capped first fit packs it onto core 0, and la_dvs on that one-core
+    # packing of the same instances is the most any consolidating policy can
+    # save; reallocation must reach that limit. The instances and
+    # configurations are the sweep's own repetitions.
     spec = fig3.spec
     value_index = spec.values.index(0.1)
     packed = []
@@ -185,9 +177,9 @@ def test_criterion_4_utilization_sweep_low_extreme(fig3, params, derived, power_
         if built is None:
             continue
         task_set, _, cfg = built
-        assert task_set.total_utilization <= derived.critical_scale
-        ledger, _ = run(replace(cfg, policy=PolicyKind.LA_DVS), task_set,
-                        _packed_onto_core_zero(task_set, cfg.cores))
+        packing = capped_first_fit(task_set, cfg.cores, derived.critical_scale)
+        assert packing.core_tasks[1:] == ((),) * (cfg.cores - 1)
+        ledger, _ = run(replace(cfg, policy=PolicyKind.LA_DVS), task_set, packing)
         packed.append(ledger.total_j)
     worst_fit = fig3.row(0.1, PolicyKind.LA_DVS)
     assert len(packed) == worst_fit.runs

@@ -7,6 +7,7 @@ import pytest
 
 import coresleep
 from coresleep.cli import MAX_GRID_POINTS, _sweep_axis, main
+from coresleep.harness import DEFAULT_GRIDS
 
 
 def test_simulate_prints_summary(capsys):
@@ -307,3 +308,13 @@ def test_grid_with_too_many_points_fails_before_it_is_built(tmp_path):
 def test_grid_bound_admits_its_largest_grid():
     _axis, values = _sweep_axis("U=0.0001:1:0.0001")
     assert len(values) == MAX_GRID_POINTS and values[-1] == 1.0
+
+
+def test_grid_end_tolerance_is_relative_to_step():
+    """A grid of steps far below 1e-9 ends at STOP, not past it; the canonical
+    grids and an off-grid STOP come out as before."""
+    assert _sweep_axis("E_sw=0:1e-9:1e-10")[1] == tuple(round(1e-10 * k, 12) for k in range(11))
+    assert _sweep_axis("cc_ratio=0.05:1:0.05")[1] == DEFAULT_GRIDS["cc_ratio"]
+    assert _sweep_axis("U=0.1:1.0:0.1")[1] == DEFAULT_GRIDS["U"]
+    assert _sweep_axis("U=0.9:1.0:0.1")[1] == (0.9, 1.0)
+    assert _sweep_axis("U=0.1:0.95:0.1")[1][-1] == 0.9

@@ -161,29 +161,44 @@ class TestAnalyticOracle:
     the sleep threshold (about 7.2 s) lies past a 1 s horizon.  No core
     sleeps and the dynamic sums never move, so the speed never changes and
     the energy is exactly m * P(s) * T, s = min(1, max(largest static core
-    utilization, s_crit)).  The bound is the power table's interpolation
-    error (4.2e-9 measured worst over these cases); evaluating the power in
-    closed form in place of the table would tighten it to float round-off."""
+    utilization, s_crit)).  The bounds are set by the power table's
+    interpolation error: measured worst 4.2e-9 at s_crit (bound 1e-8) and
+    1.29e-8 above it (m = 1, U = 0.5; bound 3e-8, above the table's
+    2.19e-8 worst).  Evaluating the power in closed form in place of the
+    table would tighten them to float round-off."""
+
+    @staticmethod
+    def gap_to_closed_form(params, derived, power_table, m, u, seed):
+        """Relative gap of one run's energy to m * P(s) * T; also returns s."""
+        spec = SweepSpec(axis="U", values=(u,), m=m, e_sw_j=1.0, cc_ratio=1.0,
+                         duration_ms=1000.0, repetitions=1, base_seed=seed)
+        task_set, assignment, cfg = repetition(spec, 0, 0, params, power_table)
+        assert all(assignment.core_tasks), seed   # no core starts asleep
+        sim = Simulator(dataclasses.replace(cfg, policy=PolicyKind.LA_DVS, collect_trace=True),
+                        task_set, assignment)
+        assert sim.t_th_ns > sim.duration_ns
+        ledger, trace = sim.run()
+        events = [row[2] for row in trace]
+        assert events.count("speed_change") == 1, seed
+        assert "sleep" not in events and "wake" not in events, seed
+        assert ledger.switch_j == 0.0 and ledger.deadline_miss_count == 0
+        s = min(1.0, max(max(assignment.core_utilization), derived.critical_scale))
+        expected = m * closed_form_power(params, closed_form_f_max(params), s) * 1.0
+        return abs(ledger.total_j - expected) / expected, s
 
     @pytest.mark.parametrize("m", [1, 2, 4])
     def test_constant_speed_energy_is_closed_form(self, params, derived, power_table, m):
-        f_max = closed_form_f_max(params)
         for seed in range(1, 11):
-            spec = SweepSpec(axis="U", values=(0.3,), m=m, e_sw_j=1.0, cc_ratio=1.0,
-                             duration_ms=1000.0, repetitions=1, base_seed=seed)
-            task_set, assignment, cfg = repetition(spec, 0, 0, params, power_table)
-            assert all(assignment.core_tasks), seed   # no core starts asleep
-            sim = Simulator(dataclasses.replace(cfg, policy=PolicyKind.LA_DVS,
-                                                collect_trace=True), task_set, assignment)
-            assert sim.t_th_ns > sim.duration_ns
-            ledger, trace = sim.run()
-            events = [row[2] for row in trace]
-            assert events.count("speed_change") == 1, seed
-            assert "sleep" not in events and "wake" not in events, seed
-            assert ledger.switch_j == 0.0 and ledger.deadline_miss_count == 0
-            s = min(1.0, max(max(assignment.core_utilization), derived.critical_scale))
-            expected = m * closed_form_power(params, f_max, s) * 1.0
-            assert abs(ledger.total_j - expected) <= 1e-8 * expected, seed
+            gap, _s = self.gap_to_closed_form(params, derived, power_table, m, 0.3, seed)
+            assert gap <= 1e-8, seed
+
+    @pytest.mark.parametrize("m, u", [(1, 0.5), (1, 0.7), (2, 0.6), (4, 0.5)])
+    def test_speed_above_critical_energy_is_closed_form(self, params, derived, power_table,
+                                                        m, u):
+        for seed in range(1, 11):
+            gap, s = self.gap_to_closed_form(params, derived, power_table, m, u, seed)
+            assert s > derived.critical_scale, seed
+            assert gap <= 3e-8, seed
 
 
 class TestIdlePowerReading:

@@ -46,13 +46,13 @@ class TestSpecValidation:
             tiny_spec(values=())
 
     def test_axis_ranges(self):
-        with pytest.raises(SweepError):
+        with pytest.raises(WorkloadError):
             tiny_spec(values=(0.5, 1.5))  # U beyond 1
-        with pytest.raises(SweepError):
+        with pytest.raises(WorkloadError):
             tiny_spec(axis="E_sw", values=(-1e-3, 0.0))
-        with pytest.raises(SweepError):
+        with pytest.raises(WorkloadError):
             tiny_spec(axis="m", values=(1.5, 2.0))
-        with pytest.raises(SweepError):
+        with pytest.raises(WorkloadError):
             tiny_spec(axis="cc_ratio", values=(0.0, 0.5))
 
     @pytest.mark.parametrize("fixed", [
@@ -60,7 +60,7 @@ class TestSpecValidation:
         dict(axis="m", values=(2, 4), u=0.0),
     ])
     def test_fixed_parameter_ranges(self, fixed):
-        with pytest.raises(SweepError):
+        with pytest.raises(WorkloadError):
             tiny_spec(**fixed)
 
     @pytest.mark.parametrize("periods", [(100.0, 10.0), (0.0, 10.0), (-5.0, 10.0), (1e-7, 1e-7)])
@@ -75,7 +75,7 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("duration", [0.0, -1.0])
     def test_duration(self, duration):
-        with pytest.raises(SweepError):
+        with pytest.raises(WorkloadError):
             tiny_spec(duration_ms=duration)
 
     def test_partition_retries_are_a_constant(self):

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from conftest import capped_first_fit
+
 from coresleep.partition import PartitionError, ltf_partition
 from coresleep.workload import TaskSet, generate_task_set, task_from_ms
 
@@ -59,3 +61,25 @@ def test_infeasible_rejected():
 def test_needs_a_core(motivational_tasks):
     with pytest.raises(PartitionError):
         ltf_partition(motivational_tasks, 0)
+
+
+def eighths_task_set(*wcets_ms):
+    """Tasks of period 8 ms, ids in order, with utilization wcet / 8."""
+    return TaskSet(tasks=tuple(task_from_ms(i, 8.0, c) for i, c in enumerate(wcets_ms)))
+
+
+def test_capped_first_fit_takes_the_lowest_core_at_or_below_the_cap():
+    asg = capped_first_fit(eighths_task_set(2, 2, 1, 1), 3, 0.5)
+    assert asg.core_tasks == ((0, 1), (2, 3), ())
+    assert asg.core_utilization == (0.5, 0.25, 0.0)
+
+
+def test_capped_first_fit_falls_back_to_worst_fit_up_to_one():
+    # 0.75 fits under the cap nowhere and goes to the least loaded core; the
+    # first 0.5 fits core 1 under the cap; the second 0.5 and the 0.25 fit
+    # nowhere under it and go to the least loaded core in turn
+    asg = capped_first_fit(eighths_task_set(6, 4, 4, 2), 2, 0.5)
+    assert asg.core_tasks == ((0, 3), (1, 2))
+    assert asg.core_utilization == (1.0, 1.0)
+    with pytest.raises(PartitionError):
+        capped_first_fit(eighths_task_set(6, 6, 6), 2, 0.5)

@@ -6,6 +6,7 @@ tasks), with a mean actual-to-worst-case ratio up to 1, E_sw of 0 or 0.5 mJ
 and a horizon in quarter milliseconds, which no integer period need divide.
 Under every policy the ledger's total energy must agree with the dense
 oracle, and all three policies must see the same actual time for each job.
+Explicit examples put a core at utilization exactly 1.
 
 Zero deadline misses is not among the properties: rounding drift makes a
 core whose speed equals its utilization finish a job 1 ns late (see the
@@ -16,7 +17,7 @@ from dataclasses import replace
 
 import pytest
 from dense_oracle import integrate_trace_energy
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from coresleep.engine import SimConfig, run
@@ -53,8 +54,21 @@ def instances(draw):
     return task_set, assignment, inputs
 
 
+def full_core_instance(m, cc_mean_ratio):
+    """Tasks (period, wcet) = (2, 1) and (4, 2) ms on one core, or with
+    (3, 1.5) ms added on two: core 0 is then at utilization exactly 1."""
+    periods_ms = (2, 4, 3)[:m + 1]
+    task_set = TaskSet(tasks=tuple(task_from_ms(i, p, p / 2) for i, p in enumerate(periods_ms)))
+    inputs = dict(cores=m, duration_ms=24.0, cc_mean_ratio=cc_mean_ratio, e_sw_j=5e-4, seed=0)
+    return task_set, ltf_partition(task_set, m), inputs
+
+
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(instance=instances())
+@example(instance=full_core_instance(1, 1.0))
+@example(instance=full_core_instance(1, 0.5))
+@example(instance=full_core_instance(2, 1.0))
+@example(instance=full_core_instance(2, 0.5))
 def test_energy_matches_oracle_and_draws_match_across_policies(params, power_table, instance):
     task_set, assignment, inputs = instance
     cfg = SimConfig(params=params, power_table=power_table, collect_trace=True, **inputs)

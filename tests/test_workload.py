@@ -4,7 +4,8 @@ import pytest
 
 from conftest import dynamic_terms, next_release
 
-from coresleep.engine import TaskRun
+from coresleep.engine import SimConfig, TaskRun
+from coresleep.harness import AXIS_FIELDS, SweepSpec
 from coresleep.policies import task_dynamic_utilization
 from coresleep.workload import (
     MAX_TASKS,
@@ -13,6 +14,7 @@ from coresleep.workload import (
     Task,
     TaskSet,
     WorkloadError,
+    check_run_input,
     draw_actual_ratio,
     generate_task_set,
     task_from_ms,
@@ -168,3 +170,47 @@ class TestActualRatio:
             draw_actual_ratio(0.0, rng)
         with pytest.raises(WorkloadError):
             draw_actual_ratio(1.1, rng)
+
+
+NAN, INF = float("nan"), float("inf")
+# The start of each run input's message, and SimConfig's name for the four
+# inputs it shares with SweepSpec (U is the sweep's alone).
+MESSAGE_START = {"u": "U value ", "e_sw_j": "E_sw value ", "m": "core count ",
+                 "cc_ratio": "cc ratio ", "duration_ms": "duration "}
+SIM_CONFIG_FIELDS = {"e_sw_j": "e_sw_j", "m": "cores", "cc_ratio": "cc_mean_ratio",
+                     "duration_ms": "duration_ms"}
+
+
+class TestRunInputs:
+    """SweepSpec, as a fixed input or an axis value, and SimConfig reject a
+    bad run input through the one rule of ``check_run_input``."""
+
+    @pytest.mark.parametrize("name, bad", [
+        *(("u", v) for v in (0.0, -0.5, 1.5, NAN, INF)),
+        *(("e_sw_j", v) for v in (-1e-3, NAN, INF, -INF)),
+        *(("m", v) for v in (0, 1.5, NAN, INF)),
+        *(("cc_ratio", v) for v in (0.0, 1.5, NAN, INF)),
+        *(("duration_ms", v) for v in (0.0, -1.0, 1e-7, NAN, INF)),
+    ])
+    def test_bad_value_raises_the_same_error_everywhere(self, params, name, bad):
+        with pytest.raises(WorkloadError) as raised:
+            check_run_input(name, bad)
+        message = str(raised.value)
+        assert message.startswith(MESSAGE_START[name] + repr(bad))
+        builds = [lambda: SweepSpec(axis="U", values=(0.3,), **{name: bad})]
+        axis = {field: a for a, field in AXIS_FIELDS.items()}.get(name)
+        if axis:
+            builds.append(lambda: SweepSpec(axis=axis, values=(bad,)))
+        if name in SIM_CONFIG_FIELDS:   # SimConfig(cores=1.5) among them
+            builds.append(lambda: SimConfig(params=params, **{SIM_CONFIG_FIELDS[name]: bad}))
+        for build in builds:
+            with pytest.raises(WorkloadError) as raised:
+                build()
+            assert str(raised.value) == message
+
+    def test_boundary_values_accepted(self, params):
+        SweepSpec(axis="U", values=(1.0,), u=1.0, e_sw_j=0.0, m=1, cc_ratio=1.0,
+                  duration_ms=1e-6)
+        for axis, value in (("E_sw", 0.0), ("m", 1), ("cc_ratio", 1.0)):
+            SweepSpec(axis=axis, values=(value,))
+        SimConfig(params=params, cores=1, duration_ms=1e-6, e_sw_j=0.0, cc_mean_ratio=1.0)
