@@ -3,8 +3,8 @@
 Sweeps the per-core average utilization with all three policies on paired
 instances and writes the normalized-energy CSV plus a companion plot
 script.  Uses fewer repetitions than the full experiment so it finishes in
-about a minute; raise ``repetitions`` (and use the CLI for convenience) to
-reproduce the full curves.
+seconds (4 s on two workers of a 2-CPU host); raise ``repetitions`` (and
+use the CLI for convenience) to reproduce the full curves.
 """
 
 from coresleep import PolicyKind, SweepSpec, emit, run_sweep

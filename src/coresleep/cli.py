@@ -7,7 +7,7 @@ import math
 import os
 import sys
 
-from .engine import write_trace_csv
+from .engine import SimConfig, write_trace_csv
 from .harness import DEFAULT_GRIDS, SweepSpec, emit, run_single, run_sweep
 from .partition import PartitionError
 from .policies import PolicyKind
@@ -86,7 +86,8 @@ def build_parser():
 
     sim = sub.add_parser("simulate", help="one run under one policy")
     _add_common(sim)
-    sim.add_argument("--policy", choices=[p.value for p in PolicyKind], default="la_realloc")
+    sim.add_argument("--policy", choices=[p.value for p in PolicyKind],
+                     default=SimConfig.policy.value)
     sim.add_argument("--trace", metavar="OUT.CSV", default=None,
                      help="write the event trace")
 

@@ -141,7 +141,8 @@ class SimConfig:
 
     def __post_init__(self):
         for name, value in (("m", self.cores), ("duration_ms", self.duration_ms),
-                            ("e_sw_j", self.e_sw_j), ("cc_ratio", self.cc_mean_ratio)):
+                            ("e_sw_j", self.e_sw_j), ("cc_ratio", self.cc_mean_ratio),
+                            ("base_seed", self.seed)):
             check_run_input(name, value)
         scale = self.critical_scale_override
         if scale is not None and not (0.0 < scale <= 1.0):
@@ -196,7 +197,8 @@ class Simulator:
             busy_j=[0.0] * config.cores, idle_j=[0.0] * config.cores
         )
         self.trace = [] if config.collect_trace else None
-        self._heap: list = []
+        # Every task's first release at t = 0, by task id (a sorted list is a heap).
+        self._heap = [(0, task_id, self.runs[task_id]) for task_id in sorted(self.runs)]
         # The clocks: work done at the global speed, and energy one awake
         # core draws, both since t = 0.
         self.work = self.energy = 0.0
@@ -245,9 +247,8 @@ class Simulator:
     def _accrue(self, t0_ns, t1_ns):
         """Advance both clocks over [t0, t1] at the current speed."""
         dt = t1_ns - t0_ns
-        if dt > 0:
-            self.work += dt * self.speed
-            self.energy += self.power * dt * 1e-9
+        self.work += dt * self.speed
+        self.energy += self.power * dt * 1e-9
 
     def _settle(self, core: Core):
         """Charge an awake core's energy since its state began to busy or
@@ -440,8 +441,6 @@ class Simulator:
     def run(self):
         duration = self.duration_ns
         heap = self._heap
-        for task_id in sorted(self.runs):
-            heapq.heappush(heap, (0, task_id, self.runs[task_id]))
         for core in self.cores:
             if not core.members:
                 self._sleep(core, 0)
@@ -515,12 +514,11 @@ class Simulator:
         for core in cores:
             if core.state == ACTIVE:
                 self._settle(core)
-        # kept as the exact product, not a running float sum
-        self.ledger.switch_j = self.ledger.wake_count * self.cfg.e_sw_j
-        for core in self.cores:
             for _deadline, _task_id, job in core.ready:
                 if job.deadline_ns <= duration:
                     self.ledger.deadline_miss_count += 1
+        # kept as the exact product, not a running float sum
+        self.ledger.switch_j = self.ledger.wake_count * self.cfg.e_sw_j
         return self.ledger, self.trace
 
 

@@ -21,8 +21,8 @@ from .partition import PartitionError, ltf_partition
 from .policies import PolicyKind
 from .power import PowerParams, PowerTable, default_power_params, derive_speeds
 from .workload import (
-    WorkloadError, check_period_range, check_run_input, check_task_range, generate_task_set,
-    left_sum,
+    PERIOD_RANGE_MS, WorkloadError, check_period_range, check_run_input, check_task_range,
+    generate_task_set, left_sum,
 )
 
 # Each axis and the fixed input it replaces.
@@ -53,12 +53,12 @@ class SweepSpec:
     axis: str
     values: tuple
     u: float = 0.3                 # per-core average utilization, U_tot / m
-    e_sw_j: float = 5e-4
-    m: int = 2
-    cc_ratio: float = 0.5
+    e_sw_j: float = engine.SimConfig.e_sw_j
+    m: int = engine.SimConfig.cores
+    cc_ratio: float = engine.SimConfig.cc_mean_ratio
     n_range: tuple[int, int] = (10, 20)
-    period_range_ms: tuple[float, float] = (10.0, 100.0)
-    duration_ms: float = 10_000.0
+    period_range_ms: tuple[float, float] = PERIOD_RANGE_MS
+    duration_ms: float = engine.SimConfig.duration_ms
     repetitions: int = 100
     base_seed: int = 1
     # Partition attempts per instance before a configuration point counts as
@@ -79,14 +79,14 @@ class SweepSpec:
         check_task_range(self.n_range)
         check_period_range(self.period_range_ms)
         check_run_input("duration_ms", self.duration_ms)
-        if self.repetitions < 1:
+        check_run_input("base_seed", self.base_seed)
+        if not (isinstance(self.repetitions, int) and self.repetitions >= 1):
             raise SweepError("need at least one repetition")
 
     def fixed_for(self, value):
         """The (u, e_sw, m, cc_ratio) tuple with the axis value applied."""
-        fixed = [getattr(self, name) for name in AXIS_FIELDS.values()]
-        fixed[AXES.index(self.axis)] = int(value) if self.axis == "m" else value
-        return tuple(fixed)
+        return tuple(value if axis == self.axis else getattr(self, name)
+                     for axis, name in AXIS_FIELDS.items())
 
 
 @dataclass
@@ -107,7 +107,11 @@ class ResultRow:
 class SweepResult:
     spec: SweepSpec
     rows: list[ResultRow]
-    skipped: dict
+
+    @property
+    def skipped(self) -> dict:
+        """{axis value: repetitions without a feasible instance}."""
+        return {row.value: self.spec.repetitions - row.runs for row in self.rows}
 
     def row(self, value, policy: PolicyKind) -> ResultRow:
         for r in self.rows:
@@ -191,7 +195,7 @@ def run_sweep(spec: SweepSpec, params: PowerParams | None = None, workers: int =
     job order and are summed in repetition order, so the outcome does not
     depend on the worker count.
     """
-    if workers < 1:
+    if not (isinstance(workers, int) and workers >= 1):
         raise SweepError(f"need at least one worker, got {workers}")
     params = params or default_power_params()
     table = PowerTable(params, derive_speeds(params))
@@ -211,11 +215,9 @@ def run_sweep(spec: SweepSpec, params: PowerParams | None = None, workers: int =
             _WORKER_CTX.clear()
 
     rows: list[ResultRow] = []
-    skipped: dict = {}
     for vi, value in enumerate(spec.values):
         cells = [out for out in raw[vi * reps:(vi + 1) * reps] if out is not None]
         n = len(cells)
-        skipped[value] = reps - n
         means = {}
         for policy in POLICY_ORDER:
             columns = zip(*(out[policy.value] for out in cells))
@@ -226,7 +228,7 @@ def run_sweep(spec: SweepSpec, params: PowerParams | None = None, workers: int =
         for policy in POLICY_ORDER:
             energy, *counts = means[policy]
             rows.append(ResultRow(value, policy.value, energy, energy / ref, *counts, n))
-    return SweepResult(spec=spec, rows=rows, skipped=skipped)
+    return SweepResult(spec=spec, rows=rows)
 
 
 def emit(result: SweepResult, path) -> None:

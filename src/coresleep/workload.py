@@ -14,8 +14,9 @@ from functools import reduce
 from operator import add
 
 NS_PER_MS = 1_000_000
-# Most tasks the generator draws for one set.
+# Most tasks the generator draws for one set, and its default period range.
 MAX_TASKS = 20
+PERIOD_RANGE_MS = (10.0, 100.0)
 
 
 def left_sum(values):
@@ -117,7 +118,7 @@ def check_period_range(period_range_ms: tuple[float, float]) -> None:
 
 def check_task_range(n_range: tuple[int, int]) -> None:
     lo, hi = n_range
-    if not (1 <= lo <= hi <= MAX_TASKS):
+    if not (isinstance(lo, int) and isinstance(hi, int) and 1 <= lo <= hi <= MAX_TASKS):
         raise WorkloadError(f"task range {lo}:{hi} needs 1 <= MIN <= MAX <= {MAX_TASKS}")
 
 
@@ -127,18 +128,20 @@ def check_run_input(name: str, value) -> None:
         raise WorkloadError(f"U value {value} outside (0, 1]")
     if name == "e_sw_j" and not (math.isfinite(value) and value >= 0):
         raise WorkloadError(f"E_sw value {value} not a finite nonnegative number")
-    if name == "m" and not (math.isfinite(value) and value >= 1 and int(value) == value):
+    if name == "m" and not (isinstance(value, int) and value >= 1):
         raise WorkloadError(f"core count {value} not a positive integer")
     if name == "cc_ratio" and not (0.0 < value <= 1.0):
         raise WorkloadError(f"cc ratio {value} outside (0, 1]")
     if name == "duration_ms" and not (math.isfinite(value) and round(value * NS_PER_MS) >= 1):
         raise WorkloadError(f"duration {value!r} ms is not finite or rounds below 1 ns")
+    if name == "base_seed" and not isinstance(value, int):
+        raise WorkloadError(f"seed {value!r} not an integer")
 
 
 def generate_task_set(
     n: int,
     u_target: float,
-    period_range_ms: tuple[float, float] = (10.0, 100.0),
+    period_range_ms: tuple[float, float] = PERIOD_RANGE_MS,
     seed: int | str = 0,
 ) -> TaskSet:
     """Random task set: ``n`` tasks, utilizations summing to ``u_target``.

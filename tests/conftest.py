@@ -1,4 +1,5 @@
 import sys
+from itertools import groupby
 from pathlib import Path
 
 import pytest
@@ -91,6 +92,44 @@ def idle_gaps_between_jobs(trace, core):
         else:
             last_complete = t
     return gaps
+
+
+def wake_rule_violations(trace):
+    """The wake rule, read from the trace alone: a core has a ``wake`` row at
+    t exactly when it was asleep before t and kept a job released on it at t
+    (no ``realloc`` row at t moved that job away).  Returns each (t, core)
+    with a missing or an extra wake."""
+    asleep, violations = set(), []
+    for t, rows in groupby(trace, key=lambda row: row[0]):
+        rows = list(rows)
+        kept = {(c, task) for (_t, c, ev, task, _d) in rows if ev == "release"}
+        kept -= {(int(d.split("=")[1]), task) for (_t, _c, ev, task, d) in rows if ev == "realloc"}
+        due = {c for c, _task in kept if c in asleep}
+        woke = {c for (_t, c, ev, _x, _d) in rows if ev == "wake"}
+        violations += [(t, c) for c in sorted(due ^ woke)]
+        for _t, c, ev, _x, _d in rows:
+            if ev == "sleep":
+                asleep.add(c)
+            elif ev == "wake":
+                asleep.discard(c)
+    return violations
+
+
+def assert_one_core_per_job(trace):
+    """Assert from the trace that every job runs on exactly one core over its
+    lifetime: a task moves only by a ``realloc`` row at its release instant."""
+    job_core = {}
+    last_release = {}
+    for t, c, ev, task, _detail in trace:
+        if ev == "release":
+            job_core[task] = c
+            last_release[task] = t
+        elif ev == "realloc":
+            # only legal at the release instant of that task
+            assert last_release[task] == t
+            job_core[task] = c
+        elif ev in ("start", "preempt", "complete"):
+            assert job_core[task] == c
 
 
 def edf_pick(jobs):

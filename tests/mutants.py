@@ -90,6 +90,11 @@ MUTANTS = [
      'name == "cc_ratio" and not (0.0 <= value <= 1.0)'),
     ("SimConfig.__post_init__ skips its run-input checks", "engine.py",
      "            check_run_input(name, value)\n", "            pass\n"),
+    ("core-count rule accepts a whole float", "workload.py",
+     'name == "m" and not (isinstance(value, int) and value >= 1)',
+     'name == "m" and not (math.isfinite(value) and value >= 1 and int(value) == value)'),
+    ("SweepResult.skipped returns each row's runs", "harness.py",
+     "self.spec.repetitions - row.runs for row", "row.runs for row"),
 ]
 
 FAILED = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - |$)", re.MULTILINE)

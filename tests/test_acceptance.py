@@ -60,9 +60,7 @@ def fig4(params, fig3):
     rows = [replace(fig3.row(spec.u, policy), value=shared) if value == shared
             else rest.row(value, policy)
             for value in spec.values for policy in POLICY_ORDER]
-    skipped = {value: fig3.skipped[spec.u] if value == shared else rest.skipped[value]
-               for value in spec.values}
-    return SweepResult(spec=spec, rows=rows, skipped=skipped)
+    return SweepResult(spec=spec, rows=rows)
 
 
 def test_criterion_1_critical_speed(params):

@@ -1,13 +1,12 @@
 import dataclasses
 import heapq
 import random
-from itertools import groupby
 
 import pytest
 
 from conftest import (
-    compute_load_ns, core_next_release_ns, core_static_utilization, dynamic_terms, edf_pick,
-    idle_gaps_between_jobs, motivational_config,
+    assert_one_core_per_job, compute_load_ns, core_next_release_ns, core_static_utilization,
+    dynamic_terms, edf_pick, idle_gaps_between_jobs, motivational_config, wake_rule_violations,
 )
 from dense_oracle import closed_form_f_max, closed_form_power, integrate_trace_energy
 
@@ -23,27 +22,6 @@ from coresleep.power import sleep_threshold, total_power_at_speed
 from coresleep.workload import NS_PER_MS, Job, Task, TaskSet, task_from_ms, uunifast
 
 MS = NS_PER_MS
-
-
-def wake_rule_violations(trace):
-    """The wake rule, read from the trace alone: a core has a ``wake`` row at
-    t exactly when it was asleep before t and kept a job released on it at t
-    (no ``realloc`` row at t moved that job away).  Returns each (t, core)
-    with a missing or an extra wake."""
-    asleep, violations = set(), []
-    for t, rows in groupby(trace, key=lambda row: row[0]):
-        rows = list(rows)
-        kept = {(c, task) for (_t, c, ev, task, _d) in rows if ev == "release"}
-        kept -= {(int(d.split("=")[1]), task) for (_t, _c, ev, task, d) in rows if ev == "realloc"}
-        due = {c for c, _task in kept if c in asleep}
-        woke = {c for (_t, c, ev, _x, _d) in rows if ev == "wake"}
-        violations += [(t, c) for c in sorted(due ^ woke)]
-        for _t, c, ev, _x, _d in rows:
-            if ev == "sleep":
-                asleep.add(c)
-            elif ev == "wake":
-                asleep.discard(c)
-    return violations
 
 
 class TestEdfPick:
@@ -271,23 +249,6 @@ class TestLedgerAccounting:
 
 
 class TestJobIntegrity:
-    def _replay(self, trace):
-        """Assert every job runs on exactly one core over its lifetime."""
-        job_core = {}
-        last_release = {}
-        for t, c, ev, task, detail in trace:
-            if ev == "release":
-                job_core[task] = c
-                last_release[task] = t
-            elif ev == "realloc":
-                # only legal at the release instant of that task
-                assert last_release[task] == t
-                job_core[task] = c
-            elif ev in ("start", "preempt"):
-                assert job_core[task] == c
-            elif ev == "complete":
-                assert job_core[task] == c
-
     @pytest.mark.parametrize("seed", range(8))
     def test_one_core_per_job(self, params, power_table, seed):
         from coresleep.workload import generate_task_set
@@ -297,7 +258,7 @@ class TestJobIntegrity:
         cfg = SimConfig(params=params, cores=2, duration_ms=400.0, policy=PolicyKind.LA_REALLOC,
                         seed=seed, power_table=power_table, collect_trace=True)
         _, trace = run(cfg, ts, asg)
-        self._replay(trace)
+        assert_one_core_per_job(trace)
 
     @pytest.mark.parametrize("policy", [PolicyKind.LA_DVS, PolicyKind.LA_REALLOC])
     def test_no_misses_with_leakage_aware_policies(self, params, power_table, policy):

@@ -68,7 +68,8 @@ class TestSpecValidation:
         with pytest.raises(WorkloadError, match="period range"):
             tiny_spec(period_range_ms=periods)
 
-    @pytest.mark.parametrize("tasks", [(0, 5), (5, 3), (0, 0), (25, 30), (10, 21)])
+    @pytest.mark.parametrize("tasks", [(0, 5), (5, 3), (0, 0), (25, 30), (10, 21),
+                                       (10.0, 12), (10, 12.0)])
     def test_task_range(self, tasks):
         with pytest.raises(WorkloadError, match="task range"):
             tiny_spec(n_range=tasks)
@@ -77,6 +78,11 @@ class TestSpecValidation:
     def test_duration(self, duration):
         with pytest.raises(WorkloadError):
             tiny_spec(duration_ms=duration)
+
+    @pytest.mark.parametrize("repetitions", [2.5, 2.0])
+    def test_repetitions_must_be_an_integer(self, repetitions):
+        with pytest.raises(SweepError, match="repetition"):
+            tiny_spec(repetitions=repetitions)
 
     def test_partition_retries_are_a_constant(self):
         assert "max_partition_retries" not in {f.name for f in dataclasses.fields(SweepSpec)}
@@ -165,6 +171,12 @@ def test_worker_count_below_one_rejected(params, workers):
         run_sweep(tiny_spec(), params=params, workers=workers)
 
 
+@pytest.mark.parametrize("workers", [1.5, 2.0])
+def test_worker_count_must_be_an_integer(params, workers):
+    with pytest.raises(SweepError, match="worker"):
+        run_sweep(tiny_spec(), params=params, workers=workers)
+
+
 def test_run_single_rejects_bad_period_range(params):
     with pytest.raises(WorkloadError, match="period range"):
         run_single(params, PolicyKind.LA_DVS, period_range_ms=(100.0, 10.0))
@@ -178,6 +190,8 @@ def test_run_single_rejects_bad_period_range(params):
     (dict(n_range=(25, 30)), "task range"),
     (dict(n_range=(5, 3)), "task range"),
     (dict(duration_ms=0.0), "duration"),
+    (dict(m=2.0), "core count"),
+    (dict(seed=1.0), "seed"),
 ])
 def test_run_single_checks_inputs_before_drawing(params, bad, match):
     with pytest.raises(ValueError, match=match):
@@ -267,13 +281,13 @@ class TestEmit:
     ])
     def test_plot_script_and_png_sit_next_to_the_csv(self, tmp_path, name, stem):
         (tmp_path / "run.v2").mkdir()
-        emit(SweepResult(spec=tiny_spec(), rows=[], skipped={}), tmp_path / name)
+        emit(SweepResult(spec=tiny_spec(), rows=[]), tmp_path / name)
         script = (tmp_path / f"{stem}_plot.py").read_text()
         png = str(tmp_path / f"{stem}.png")
         assert f"plt.savefig({png!r}, dpi=150)" in script
 
     def test_header_only_for_empty_rows(self, tmp_path):
-        result = SweepResult(spec=tiny_spec(), rows=[], skipped={})
+        result = SweepResult(spec=tiny_spec(), rows=[])
         path = tmp_path / "empty.csv"
         emit(result, path)
         data = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]

@@ -5,8 +5,9 @@ either harmonic or not, on one to three cores (so sometimes more cores than
 tasks), with a mean actual-to-worst-case ratio up to 1, E_sw of 0 or 0.5 mJ
 and a horizon in quarter milliseconds, which no integer period need divide.
 Under every policy the ledger's total energy must agree with the dense
-oracle, and all three policies must see the same actual time for each job.
-Explicit examples put a core at utilization exactly 1.
+oracle, the trace must keep the wake rule and run each job on one core, and
+all three policies must see the same actual time for each job.  Explicit
+examples put a core at utilization exactly 1.
 
 Zero deadline misses is not among the properties: rounding drift makes a
 core whose speed equals its utilization finish a job 1 ns late (see the
@@ -16,6 +17,7 @@ strict xfail in ``test_engine.py``).
 from dataclasses import replace
 
 import pytest
+from conftest import assert_one_core_per_job, wake_rule_violations
 from dense_oracle import integrate_trace_energy
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
@@ -78,6 +80,8 @@ def test_energy_matches_oracle_and_draws_match_across_policies(params, power_tab
         ledger, trace = run(replace(cfg, policy=policy), task_set, assignment)
         oracle = integrate_trace_energy(trace, duration_ns, cfg.cores, params, cfg.e_sw_j)
         assert ledger.total_j == pytest.approx(oracle, rel=1e-3)
+        assert wake_rule_violations(trace) == []
+        assert_one_core_per_job(trace)
         # a release row's instant and task name the job; its detail is the
         # job's actual time
         releases[policy] = sorted(

@@ -173,12 +173,12 @@ class TestActualRatio:
 
 
 NAN, INF = float("nan"), float("inf")
-# The start of each run input's message, and SimConfig's name for the four
+# The start of each run input's message, and SimConfig's name for the five
 # inputs it shares with SweepSpec (U is the sweep's alone).
 MESSAGE_START = {"u": "U value ", "e_sw_j": "E_sw value ", "m": "core count ",
-                 "cc_ratio": "cc ratio ", "duration_ms": "duration "}
+                 "cc_ratio": "cc ratio ", "duration_ms": "duration ", "base_seed": "seed "}
 SIM_CONFIG_FIELDS = {"e_sw_j": "e_sw_j", "m": "cores", "cc_ratio": "cc_mean_ratio",
-                     "duration_ms": "duration_ms"}
+                     "duration_ms": "duration_ms", "base_seed": "seed"}
 
 
 class TestRunInputs:
@@ -188,9 +188,10 @@ class TestRunInputs:
     @pytest.mark.parametrize("name, bad", [
         *(("u", v) for v in (0.0, -0.5, 1.5, NAN, INF)),
         *(("e_sw_j", v) for v in (-1e-3, NAN, INF, -INF)),
-        *(("m", v) for v in (0, 1.5, NAN, INF)),
+        *(("m", v) for v in (0, 1.5, 2.0, NAN, INF)),
         *(("cc_ratio", v) for v in (0.0, 1.5, NAN, INF)),
         *(("duration_ms", v) for v in (0.0, -1.0, 1e-7, NAN, INF)),
+        *(("base_seed", v) for v in (1.0, "1", None)),
     ])
     def test_bad_value_raises_the_same_error_everywhere(self, params, name, bad):
         with pytest.raises(WorkloadError) as raised:
