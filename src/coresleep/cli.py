@@ -8,11 +8,10 @@ import os
 import sys
 
 from .engine import SimConfig, write_trace_csv
-from .harness import DEFAULT_GRIDS, SweepSpec, emit, run_single, run_sweep
+from .harness import DEFAULT_GRIDS, RUN_INPUTS, SweepSpec, emit, run_single, run_sweep
 from .partition import PartitionError
 from .policies import PolicyKind
-from .power import PowerModelError, default_power_params, load_power_params
-from .workload import WorkloadError
+from .power import default_power_params, load_power_params
 
 # 500 times the largest canonical grid (20 points), three million runs at
 # the default 100 repetitions: a larger --sweep grid is a mistyped STEP.
@@ -21,9 +20,10 @@ MAX_GRID_POINTS = 10_000
 
 def _pair(text, cast, sep=":"):
     a, _, b = text.partition(sep)
-    if not b:
-        raise argparse.ArgumentTypeError(f"expected MIN{sep}MAX, got {text!r}")
-    return cast(a), cast(b)
+    try:
+        return cast(a), cast(b)   # an empty MAX, from a missing separator, fails too
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected MIN{sep}MAX, got {text!r}") from None
 
 
 def _sweep_axis(text):
@@ -61,19 +61,21 @@ def _sweep_axis(text):
 def _add_common(parser):
     parser.add_argument("--constants", metavar="FILE", default=None,
                         help="technology constants file (default: packaged 70nm set)")
-    parser.add_argument("--cores", type=int, default=SweepSpec.m, metavar="M")
-    parser.add_argument("--util", type=float, default=SweepSpec.u, metavar="U",
+    parser.add_argument("--cores", dest="m", type=int, metavar="M")
+    parser.add_argument("--util", dest="u", type=float, metavar="U",
                         help="per-core average utilization")
-    parser.add_argument("--esw", type=float, default=SweepSpec.e_sw_j, metavar="J",
+    parser.add_argument("--esw", dest="e_sw_j", type=float, metavar="J",
                         help="sleep-to-active switching energy")
-    parser.add_argument("--cc-ratio", type=float, default=SweepSpec.cc_ratio, metavar="R",
+    parser.add_argument("--cc-ratio", dest="cc_ratio", type=float, metavar="R",
                         help="mean actual-to-worst-case execution ratio")
-    parser.add_argument("--tasks", type=lambda s: _pair(s, int), default=SweepSpec.n_range,
+    parser.add_argument("--tasks", dest="n_range", type=lambda s: _pair(s, int),
                         metavar="N_MIN:N_MAX")
-    parser.add_argument("--periods", type=lambda s: _pair(s, float),
-                        default=SweepSpec.period_range_ms, metavar="MS_MIN:MS_MAX")
-    parser.add_argument("--duration", type=float, default=SweepSpec.duration_ms, metavar="MS")
+    parser.add_argument("--periods", dest="period_range_ms", type=lambda s: _pair(s, float),
+                        metavar="MS_MIN:MS_MAX")
+    parser.add_argument("--duration", dest="duration_ms", type=float, metavar="MS")
     parser.add_argument("--seed", type=int, default=SweepSpec.base_seed, metavar="S")
+    # Each run input's flag stores to its SweepSpec field, which gives its default.
+    parser.set_defaults(**{name: getattr(SweepSpec, name) for name in RUN_INPUTS})
 
 
 def build_parser():
@@ -115,10 +117,7 @@ def main(argv=None) -> int:
         if out and os.path.isdir(out):
             raise IsADirectoryError(f"output path {out!r} is a directory")
         params = load_power_params(args.constants) if args.constants else default_power_params()
-        # The inputs a single run and a sweep share.
-        inputs = dict(m=args.cores, u=args.util, e_sw_j=args.esw, cc_ratio=args.cc_ratio,
-                      n_range=args.tasks, period_range_ms=args.periods,
-                      duration_ms=args.duration)
+        inputs = {name: getattr(args, name) for name in RUN_INPUTS}
         if args.command == "simulate":
             task_set, assignment, ledger, trace = run_single(
                 params, PolicyKind(args.policy), seed=args.seed,
@@ -145,7 +144,7 @@ def main(argv=None) -> int:
                           f"(no feasible partition); its rows are NaN", file=sys.stderr)
             emit(result, args.out)
             print(f"wrote {args.out}")
-    except (PowerModelError, WorkloadError, PartitionError, ValueError, OSError) as exc:
+    except (PartitionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

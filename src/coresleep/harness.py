@@ -20,14 +20,13 @@ from . import engine
 from .partition import PartitionError, ltf_partition
 from .policies import PolicyKind
 from .power import PowerParams, PowerTable, default_power_params, derive_speeds
-from .workload import (
-    PERIOD_RANGE_MS, WorkloadError, check_period_range, check_run_input, check_task_range,
-    generate_task_set, left_sum,
-)
+from .workload import PERIOD_RANGE_MS, WorkloadError, check_run_input, generate_task_set, left_sum
 
 # Each axis and the fixed input it replaces.
 AXIS_FIELDS = {"U": "u", "E_sw": "e_sw_j", "m": "m", "cc_ratio": "cc_ratio"}
 AXES = tuple(AXIS_FIELDS)
+# The SweepSpec fields a single run and a sweep share, each a flag of both CLI commands.
+RUN_INPUTS = (*AXIS_FIELDS.values(), "n_range", "period_range_ms", "duration_ms")
 POLICY_ORDER = tuple(PolicyKind)
 
 # Canonical grids for the four comparative experiments; any sweep may
@@ -74,12 +73,8 @@ class SweepSpec:
         object.__setattr__(self, "values", vals)
         for value in vals:
             check_run_input(AXIS_FIELDS[self.axis], value)
-        for name in AXIS_FIELDS.values():
+        for name in (*RUN_INPUTS, "base_seed"):
             check_run_input(name, getattr(self, name))
-        check_task_range(self.n_range)
-        check_period_range(self.period_range_ms)
-        check_run_input("duration_ms", self.duration_ms)
-        check_run_input("base_seed", self.base_seed)
         if not (isinstance(self.repetitions, int) and self.repetitions >= 1):
             raise SweepError("need at least one repetition")
 
@@ -254,6 +249,7 @@ def emit(result: SweepResult, path) -> None:
 def _write_plot_script(csv_path) -> None:
     stem = os.path.splitext(str(csv_path))[0]   # a dot in a directory name stays
     script_path = stem + "_plot.py"
+    policies = ", ".join(f'"{policy.value}"' for policy in POLICY_ORDER)
     body = f'''"""Plot normalized energy per policy from {csv_path!s}."""
 import csv
 
@@ -264,7 +260,7 @@ with open({str(csv_path)!r}) as fh:
 rows = list(csv.DictReader(data))
 
 axis = rows[0]["axis"] if rows else "value"
-for policy in ("pure_dvs", "la_dvs", "la_realloc"):
+for policy in ({policies}):
     pts = [(float(r["value"]), float(r["normalized"])) for r in rows if r["policy"] == policy]
     plt.plot([p[0] for p in pts], [p[1] for p in pts], marker="o", label=policy)
 plt.xlabel(axis)
@@ -282,12 +278,11 @@ def run_single(params: PowerParams, policy: PolicyKind, seed: int = SweepSpec.ba
                collect_trace: bool = False, **inputs):
     """Generate one instance and simulate it under one policy.
 
-    ``inputs`` are keyword fixed inputs of ``SweepSpec`` (``m``, ``u``,
-    ``e_sw_j``, ``cc_ratio``, ``n_range``, ``period_range_ms``,
-    ``duration_ms``), each defaulting as there.  The run is repetition 0 of
-    the one-point sweep over U = ``u`` with base seed ``seed``, so its inputs
-    are checked as that sweep's are, before anything is drawn, and its energy
-    and counts equal the sweep's row for ``policy``.
+    ``inputs`` are keywords named in ``RUN_INPUTS``, each defaulting as in
+    ``SweepSpec``.  The run is repetition 0 of the one-point sweep over
+    U = ``u`` with base seed ``seed``, so its inputs are checked as that
+    sweep's are, before anything is drawn, and its energy and counts equal
+    the sweep's row for ``policy``.
 
     Returns (task_set, assignment, ledger, trace).
     """

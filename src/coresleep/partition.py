@@ -5,10 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .workload import TaskSet
-
-# Utilization comparisons tolerate float roundoff at exact boundaries.
-_EPS = 1e-12
+from .workload import UTIL_EPS, TaskSet
 
 
 class PartitionError(Exception):
@@ -41,7 +38,7 @@ def ltf_partition(task_set: TaskSet, m: int) -> Assignment:
     bins: list[list[int]] = [[] for _ in range(m)]
     for task in order:
         j = min(range(m), key=lambda i: (load[i], i))
-        if load[j] + task.utilization > 1.0 + _EPS:
+        if load[j] + task.utilization > 1.0 + UTIL_EPS:
             raise PartitionError(
                 f"core {j} would reach utilization {load[j] + task.utilization:.6f}"
             )

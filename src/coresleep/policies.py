@@ -17,10 +17,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-# Slack for utilization-threshold comparisons; keeps exact-boundary cases
-# (for example dynamic utilization landing exactly on the critical scale)
-# from flipping on float roundoff.
-_EPS = 1e-12
+from .workload import UTIL_EPS
 
 
 class PolicyKind(Enum):
@@ -65,11 +62,11 @@ def select_core(u_i: float, options, critical_scale: float):
     """
     best = None
     for u_dyn, idx, u_static in options:
-        if u_static + u_i > 1.0 + _EPS:
+        if u_static + u_i > 1.0 + UTIL_EPS:
             continue
         if best is None or (u_dyn, idx) < best:
             best = (u_dyn, idx)
-    if best is not None and best[0] + u_i <= critical_scale + _EPS:
+    if best is not None and best[0] + u_i <= critical_scale + UTIL_EPS:
         return best[1]
     return None
 

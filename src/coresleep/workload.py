@@ -17,6 +17,10 @@ NS_PER_MS = 1_000_000
 # Most tasks the generator draws for one set, and its default period range.
 MAX_TASKS = 20
 PERIOD_RANGE_MS = (10.0, 100.0)
+# Slack for utilization comparisons against a bound (a core filled to 1, a
+# dynamic utilization landing on the critical scale), so that exact-boundary
+# cases do not flip on float roundoff.
+UTIL_EPS = 1e-12
 
 
 def left_sum(values):
@@ -109,19 +113,6 @@ def uunifast(n: int, u_target: float, rng: random.Random) -> list[float]:
     return out
 
 
-def check_period_range(period_range_ms: tuple[float, float]) -> None:
-    lo_ms, hi_ms = period_range_ms
-    if not (0 < lo_ms <= hi_ms and math.isfinite(hi_ms) and round(lo_ms * NS_PER_MS) >= 1):
-        raise WorkloadError(f"period range {lo_ms!r}:{hi_ms!r} needs 0 < MIN <= MAX, both "
-                            "finite, with MIN at least 1 ns after rounding")
-
-
-def check_task_range(n_range: tuple[int, int]) -> None:
-    lo, hi = n_range
-    if not (isinstance(lo, int) and isinstance(hi, int) and 1 <= lo <= hi <= MAX_TASKS):
-        raise WorkloadError(f"task range {lo}:{hi} needs 1 <= MIN <= MAX <= {MAX_TASKS}")
-
-
 def check_run_input(name: str, value) -> None:
     """Raise WorkloadError unless ``value`` is valid for the SweepSpec field ``name``."""
     if name == "u" and not (0.0 < value <= 1.0):
@@ -132,6 +123,15 @@ def check_run_input(name: str, value) -> None:
         raise WorkloadError(f"core count {value} not a positive integer")
     if name == "cc_ratio" and not (0.0 < value <= 1.0):
         raise WorkloadError(f"cc ratio {value} outside (0, 1]")
+    if name == "n_range":
+        lo, hi = value
+        if not (isinstance(lo, int) and isinstance(hi, int) and 1 <= lo <= hi <= MAX_TASKS):
+            raise WorkloadError(f"task range {lo}:{hi} needs 1 <= MIN <= MAX <= {MAX_TASKS}")
+    if name == "period_range_ms":
+        lo, hi = value
+        if not (0 < lo <= hi and math.isfinite(hi) and round(lo * NS_PER_MS) >= 1):
+            raise WorkloadError(f"period range {lo!r}:{hi!r} needs 0 < MIN <= MAX, both "
+                                "finite, with MIN at least 1 ns after rounding")
     if name == "duration_ms" and not (math.isfinite(value) and round(value * NS_PER_MS) >= 1):
         raise WorkloadError(f"duration {value!r} ms is not finite or rounds below 1 ns")
     if name == "base_seed" and not isinstance(value, int):
@@ -150,12 +150,12 @@ def generate_task_set(
     UUniFast recursion, resampled until every task fits on one core
     (u_i <= 1).  Deterministic for a given ``seed``.
     """
-    check_task_range((n, n))
+    check_run_input("n_range", (n, n))
     if u_target <= 0:
         raise WorkloadError("u_target must be positive")
     if u_target > n:
         raise WorkloadError(f"cannot split U={u_target} into {n} tasks with u_i <= 1")
-    check_period_range(period_range_ms)
+    check_run_input("period_range_ms", period_range_ms)
     lo_ms, hi_ms = period_range_ms
 
     rng = random.Random(seed)

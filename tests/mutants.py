@@ -95,6 +95,10 @@ MUTANTS = [
      'name == "m" and not (math.isfinite(value) and value >= 1 and int(value) == value)'),
     ("SweepResult.skipped returns each row's runs", "harness.py",
      "self.spec.repetitions - row.runs for row", "row.runs for row"),
+    ("release-instant guard removed", "engine.py",
+     "if job.arrival_ns != t_ns:", "if False:"),
+    ("commit overload guard removed", "engine.py",
+     "if u_static > 1.0 + 1e-9:", "if False:"),
 ]
 
 FAILED = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - |$)", re.MULTILINE)

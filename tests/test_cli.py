@@ -217,12 +217,26 @@ def test_simulate_rejects_bad_period_range(capsys, periods, shown):
     (["--tasks", "25:30"], "error: task range 25:30 "),
     (["--tasks", "0:0"], "error: task range 0:0 "),
     (["--tasks", "5:3"], "error: task range 5:3 "),
+    (["--tasks", "a:b"], "coresleep simulate: error: argument --tasks: expected MIN:MAX, "
+                         "got 'a:b'"),
+    (["--tasks", "10:20:30"], "coresleep simulate: error: argument --tasks: expected "
+                              "MIN:MAX, got '10:20:30'"),
+    (["--periods", "x:1"], "coresleep simulate: error: argument --periods: expected "
+                           "MIN:MAX, got 'x:1'"),
+    (["--periods", "10"], "coresleep simulate: error: argument --periods: expected "
+                          "MIN:MAX, got '10'"),
 ])
 def test_simulate_names_bad_input(capsys, args, message):
-    code = main(["simulate", *args, "--duration", "100"])
+    """A bad run input fails the run with status 1 and one error line; a
+    malformed MIN:MAX pair fails parsing with status 2, after the usage."""
+    try:
+        code = main(["simulate", *args, "--duration", "100"])
+    except SystemExit as exc:
+        code = exc.code
     err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith(message)
+    parse_error = message.startswith("coresleep simulate:")
+    assert code == (2 if parse_error else 1)
+    assert (err.splitlines()[-1] if parse_error else err).startswith(message)
 
 
 def test_simulate_without_a_feasible_partition_fails(capsys):
@@ -263,6 +277,30 @@ def test_bad_grid_syntax_exits_nonzero(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--sweep", "U=0.1", "--out", str(tmp_path / "x.csv")])
     assert exc.value.code != 0
+
+
+def test_unknown_bare_axis_fails_at_parsing(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--sweep", "frequency", "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "coresleep sweep: error: argument --sweep: unknown axis 'frequency'")
+
+
+def test_module_entry_point_exits_with_main_status(tmp_path):
+    """``python -m coresleep.cli`` exits with main's return value: 0 for a
+    run, 1 for a bad run input."""
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "coresleep.cli", "simulate", *args],
+            env={"PYTHONPATH": str(Path(coresleep.__file__).parent.parent)},
+            cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        )
+
+    ok = run("--duration", "100")
+    assert ok.returncode == 0 and ok.stdout.startswith("tasks=") and ok.stderr == ""
+    bad = run("--duration", "0")
+    assert bad.returncode == 1 and bad.stderr.startswith("error: duration 0.0 ms")
 
 
 def sweep_grid_capped(grid, out):

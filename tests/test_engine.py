@@ -932,16 +932,25 @@ def test_core_at_speed_equal_to_its_utilization_meets_every_deadline(params, pol
 
 class StrayRelease(Simulator):
     """At its first completion, puts a release of another core's task into
-    the event heap one nanosecond before that completion."""
+    the event heap ``offset_ns`` after that completion (by default one
+    nanosecond before it)."""
 
     moved = False
+    offset_ns = -1
 
     def _complete(self, core, t_ns):
         super()._complete(core, t_ns)
         if not self.moved:
             self.moved = True
             run = self.cores[1 - core.index].members[0]
-            heapq.heappush(self._heap, (t_ns - 1, run.task.id, run))
+            heapq.heappush(self._heap, (t_ns + self.offset_ns, run.task.id, run))
+
+
+class LateStrayRelease(StrayRelease):
+    """The stray release lands one nanosecond after the first completion,
+    an instant that is no period boundary of the task."""
+
+    offset_ns = 1
 
 
 def test_event_before_processed_instant_raises(params, motivational_tasks,
@@ -950,6 +959,58 @@ def test_event_before_processed_instant_raises(params, motivational_tasks,
     cfg = motivational_config(params, PolicyKind.LA_DVS)
     with pytest.raises(EngineError, match="after the batch"):
         StrayRelease(cfg, motivational_tasks, motivational_assignment).run()
+
+
+def test_release_off_its_period_boundary_raises(params, motivational_tasks,
+                                                motivational_assignment):
+    # Without the guard the job is released 1 ns after the first completion,
+    # though its arrival is a multiple of its period.
+    cfg = motivational_config(params, PolicyKind.LA_DVS)
+    with pytest.raises(EngineError, match=r"release of task \d+ at \d+ expected \d+"):
+        LateStrayRelease(cfg, motivational_tasks, motivational_assignment).run()
+
+
+def keeps_static_bound_only(u_i, options, critical_scale):
+    """A destination choice that keeps the destination's static utilization
+    within 1 but ignores the critical scale."""
+    return next((i for _u_dyn, i, u_static in options if u_static + u_i <= 1.0), None)
+
+
+def keeps_critical_bound_only(u_i, options, critical_scale):
+    """A destination choice that keeps the destination's dynamic utilization
+    at the critical scale but ignores its static utilization."""
+    return next((i for u_dyn, i, _u_static in options if u_dyn + u_i <= critical_scale), None)
+
+
+# (period ms, wcet ms) of the task on core 0 and of the task on core 1; the
+# critical scale and sleep threshold overrides; the mean execution ratio.
+@pytest.mark.parametrize("choose, tasks, scale, t_th_ms, cc_ratio, match", [
+    # At t = 0 task 2 (u = 0.2) moves onto core 0 (u = 0.6): 0.8 > 0.7.
+    pytest.param(keeps_static_bound_only, ((4.0, 2.4), (4.0, 0.8)), 0.7, 0.0, 1.0,
+                 "past the critical scale", id="critical-scale"),
+    # At 4 ms task 1 (u = 0.9) moves onto core 1, whose task 2 (u = 0.2)
+    # finished its 3 ms job early: dynamic at most 0.94, static 1.1.
+    pytest.param(keeps_critical_bound_only, ((4.0, 3.6), (3.0, 0.6)), 1.0, 3.9, 0.1,
+                 "overloaded the destination", id="overload"),
+    # At t = 0 task 2 moves onto core 0 and lands 5e-10 above the critical
+    # scale, inside the 1e-9 slack of the critical-scale check but above the
+    # speed before the move (the critical scale itself).
+    pytest.param(keeps_static_bound_only, ((10.0, 3.0), (10.0, 2.000000005)), 0.5, 0.0, 1.0,
+                 "raised the global speed", id="speed"),
+])
+def test_commit_rejects_a_destination_past_a_bound(monkeypatch, params, choose, tasks, scale,
+                                                   t_th_ms, cc_ratio, match):
+    """Each bound that select_core guarantees is checked again at the commit:
+    a selection that breaks one fails the run."""
+    monkeypatch.setattr(policies, "select_core", choose)
+    task_set = TaskSet(tasks=tuple(task_from_ms(i + 1, period, wcet)
+                                   for i, (period, wcet) in enumerate(tasks)))
+    assignment = Assignment(core_tasks=((1,), (2,)), core_utilization=(0.0, 0.0))
+    cfg = SimConfig(params=params, cores=2, duration_ms=20.0, cc_mean_ratio=cc_ratio,
+                    policy=PolicyKind.LA_REALLOC, critical_scale_override=scale,
+                    t_th_ms_override=t_th_ms)
+    with pytest.raises(EngineError, match=match):
+        run(cfg, task_set, assignment)
 
 
 class DispatchRecorder(Simulator):

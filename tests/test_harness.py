@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import functools
 import math
@@ -113,6 +114,10 @@ class TestRunSweep:
     def test_reference_policy_normalizes_to_one(self, result):
         for value in (0.2, 0.4):
             assert result.row(value, PolicyKind.LA_DVS).normalized == 1.0
+
+    def test_row_of_a_value_not_swept_raises(self, result):
+        with pytest.raises(KeyError):
+            result.row(0.3, PolicyKind.LA_DVS)
 
     def test_all_repetitions_ran(self, result):
         assert all(r.runs == 3 for r in result.rows)
@@ -285,6 +290,14 @@ class TestEmit:
         script = (tmp_path / f"{stem}_plot.py").read_text()
         png = str(tmp_path / f"{stem}.png")
         assert f"plt.savefig({png!r}, dpi=150)" in script
+
+    def test_plot_script_names_every_policy(self, tmp_path):
+        emit(SweepResult(spec=tiny_spec(), rows=[]), tmp_path / "out.csv")
+        script = (tmp_path / "out_plot.py").read_text()
+        loop = next(line for line in script.splitlines() if line.startswith("for policy in "))
+        assert loop == 'for policy in ("pure_dvs", "la_dvs", "la_realloc"):'
+        named = ast.literal_eval(loop.removeprefix("for policy in ").removesuffix(":"))
+        assert set(named) == {kind.value for kind in PolicyKind}
 
     def test_header_only_for_empty_rows(self, tmp_path):
         result = SweepResult(spec=tiny_spec(), rows=[])

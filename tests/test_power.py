@@ -64,6 +64,12 @@ class TestConstantsFile:
         with pytest.raises(PowerModelError, match=f"{name} must be finite"):
             load_power_params(path)
 
+    def test_line_without_equals_sign(self, tmp_path):
+        path = tmp_path / "bad.conf"
+        path.write_text("# constants\nc_eff 1e-10\n")
+        with pytest.raises(PowerModelError, match=":2: expected 'name = value'"):
+            load_power_params(path)
+
     def test_duplicate_key(self, tmp_path):
         path = tmp_path / "bad.conf"
         path.write_text("c_eff = 1e-10\nc_eff = 2e-10\n")
@@ -92,6 +98,20 @@ class TestFrequency:
         # A threshold above the whole voltage range leaves no positive overdrive.
         with pytest.raises(PowerModelError):
             with_fields(params, vth1=2.0)
+
+    @pytest.mark.parametrize("changes, match", [
+        (dict(c_eff=0.0), "c_eff must be positive"),
+        (dict(l_d=-1.0), "l_d must be positive"),
+        (dict(k6=0.0), "k6 must be positive"),
+        (dict(epsilon=-1e-3), "epsilon must be positive"),
+        (dict(l_g=-1.0), "l_g must be nonnegative"),
+        (dict(vdd_min=1.0), "need 0 < vdd_min < vdd_max"),
+        (dict(vdd_min=0.0), "need 0 < vdd_min < vdd_max"),
+        (dict(k1=-1.0), "k1 must exceed -1"),
+    ])
+    def test_constants_outside_their_domain_rejected(self, params, changes, match):
+        with pytest.raises(PowerModelError, match=match):
+            with_fields(params, **changes)
 
 
 class TestVoltageInversion:

@@ -119,6 +119,11 @@ class TestGenerator:
         with pytest.raises(WorkloadError):
             generate_task_set(3, 3.5, seed=0)
 
+    @pytest.mark.parametrize("u_target", [0.0, -0.5])
+    def test_nonpositive_target(self, u_target):
+        with pytest.raises(WorkloadError, match="u_target must be positive"):
+            generate_task_set(3, u_target, seed=0)
+
     def test_count_bounds(self):
         with pytest.raises(WorkloadError):
             generate_task_set(0, 0.5, seed=0)
@@ -174,16 +179,19 @@ class TestActualRatio:
 
 NAN, INF = float("nan"), float("inf")
 # The start of each run input's message, and SimConfig's name for the five
-# inputs it shares with SweepSpec (U is the sweep's alone).
+# inputs it shares with SweepSpec (U and the two ranges are the sweep's alone).
 MESSAGE_START = {"u": "U value ", "e_sw_j": "E_sw value ", "m": "core count ",
-                 "cc_ratio": "cc ratio ", "duration_ms": "duration ", "base_seed": "seed "}
+                 "cc_ratio": "cc ratio ", "n_range": "task range ",
+                 "period_range_ms": "period range ", "duration_ms": "duration ",
+                 "base_seed": "seed "}
 SIM_CONFIG_FIELDS = {"e_sw_j": "e_sw_j", "m": "cores", "cc_ratio": "cc_mean_ratio",
                      "duration_ms": "duration_ms", "base_seed": "seed"}
 
 
 class TestRunInputs:
-    """SweepSpec, as a fixed input or an axis value, and SimConfig reject a
-    bad run input through the one rule of ``check_run_input``."""
+    """SweepSpec, as a fixed input or an axis value, SimConfig and the
+    generator's period range reject a bad run input through the one rule of
+    ``check_run_input``."""
 
     @pytest.mark.parametrize("name, bad", [
         *(("u", v) for v in (0.0, -0.5, 1.5, NAN, INF)),
@@ -192,13 +200,18 @@ class TestRunInputs:
         *(("cc_ratio", v) for v in (0.0, 1.5, NAN, INF)),
         *(("duration_ms", v) for v in (0.0, -1.0, 1e-7, NAN, INF)),
         *(("base_seed", v) for v in (1.0, "1", None)),
+        *(("n_range", v) for v in ((0, 5), (10, 25), (10.0, 12))),
+        *(("period_range_ms", v) for v in ((100.0, 10.0), (10.0, INF), (1e-7, 1.0))),
     ])
     def test_bad_value_raises_the_same_error_everywhere(self, params, name, bad):
         with pytest.raises(WorkloadError) as raised:
             check_run_input(name, bad)
         message = str(raised.value)
-        assert message.startswith(MESSAGE_START[name] + repr(bad))
+        shown = ":".join(map(repr, bad)) if isinstance(bad, tuple) else repr(bad)
+        assert message.startswith(MESSAGE_START[name] + shown)
         builds = [lambda: SweepSpec(axis="U", values=(0.3,), **{name: bad})]
+        if name == "period_range_ms":
+            builds.append(lambda: generate_task_set(10, 1.0, period_range_ms=bad))
         axis = {field: a for a, field in AXIS_FIELDS.items()}.get(name)
         if axis:
             builds.append(lambda: SweepSpec(axis=axis, values=(bad,)))
